@@ -64,14 +64,17 @@ def test_width_vs_rate_tradeoff(benchmark):
 def test_batched_array_throughput(benchmark):
     """Simulating the roadmap's 64-wavelength word as one array.
 
-    A Terabit configuration is 64 channels at 10 Gbps — exactly the
-    regime where simulating channels one at a time drowns in
-    per-channel overhead (filter design, edge-template setup, fold
-    bookkeeping repeated 64x). The batched signal path runs the
-    whole (channels x samples) block through each stage once; this
-    bench pins its advantage over the kept per-channel reference
-    loop on the full PRBS -> NRZ -> channel -> crosstalk -> eye
-    pipeline, and records the aggregate simulated throughput.
+    A Terabit configuration is 64 channels at 10 Gbps. The batched
+    signal path runs the whole (channels x samples) block through
+    each stage once; the loop calls the scalar entry points once per
+    channel. Those are one-row calls into the same kernels, so the
+    loop no longer pays per-channel filter design or edge-template
+    setup (both memoized), only per-call overhead: cache and
+    telemetry resolution, 64 small NumPy passes per stage instead of
+    one, and the crosstalk dict path's per-pair adds. This bench pins
+    the batched path at >= 3x the loop (best of three rounds each) on
+    the full PRBS -> NRZ -> channel -> crosstalk -> eye pipeline, and
+    records the aggregate simulated throughput.
     """
     n_channels, n_bits, rate, dt = 64, 256, 10.0, 25.0
     bits = np.stack([prbs_bits(7, n_bits, seed=s + 1)
@@ -101,7 +104,7 @@ def test_batched_array_throughput(benchmark):
         (time.perf_counter()) for _ in range(3)
     )
     eyes = one_shot(benchmark, batched)
-    t_batch = benchmark.stats.stats.mean
+    t_batch = benchmark.stats.stats.min  # best of three, like the loop
     speedup = t_loop / t_batch
     agg_bps = n_channels * n_bits / t_batch
     report(
@@ -122,7 +125,7 @@ def test_batched_array_throughput(benchmark):
     # integer-exact).
     for eye, ref in zip(eyes, loop_eyes):
         assert eye.n_crossings == ref.n_crossings
-    assert speedup >= 5.0, (
+    assert speedup >= 3.0, (
         f"batched array path only {speedup:.1f}x faster than the "
         f"per-channel loop at {n_channels} channels"
     )

@@ -119,8 +119,8 @@ def test_batched_pipeline_throughput(benchmark):
     (channels x samples) block through NRZ synthesis, the LTI
     channel, the crosstalk coupling matrix, and the eye fold with no
     per-channel Python loop. Tracked in BENCH_simulation_speed.json
-    alongside the scalar-kernel benches; the companion >= 5x
-    comparison against the per-channel loop lives in
+    alongside the scalar-entry-point benches; the companion >= 3x
+    comparison against a loop of scalar calls lives in
     test_bench_scaling_terabit.py.
     """
     from repro.channel.crosstalk import CrosstalkMatrix

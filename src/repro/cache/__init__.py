@@ -43,7 +43,7 @@ a jitter model would draw from a caller-supplied RNG).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.cache.artifact import ArtifactCache, NullCache
 from repro.cache.keys import DIGEST_SIZE, array_digest, canonical_digest
@@ -53,6 +53,7 @@ __all__ = [
     "ArtifactCache", "NullCache", "NULL_CACHE", "RemoteCacheTier",
     "canonical_digest", "array_digest", "DIGEST_SIZE",
     "active", "resolve", "enable", "disable", "enabled", "use_cache",
+    "get_or_compute_rows",
 ]
 
 #: The shared disabled-path cache; `active()` returns it whenever
@@ -79,6 +80,29 @@ def resolve(cache: Optional[ArtifactCache]
     ``cache=`` argument uses (mirroring ``telemetry.resolve``).
     """
     return cache if cache is not None else _active
+
+
+def get_or_compute_rows(store, keys: Sequence[str],
+                        compute: Callable[[List[int]], Sequence[Any]]
+                        ) -> List[Any]:
+    """Per-row values for a batched stage, computing only the misses.
+
+    Row *i* is looked up under ``keys[i]`` (the scalar entry point's
+    key for that row, so the two paths share entries). The missing
+    row indices go to *compute* in one call, which returns their
+    values in the same order as a sub-batch; each is stored under
+    its own key. Returns every row's value, hits and fresh alike.
+    """
+    values = []
+    for key in keys:
+        hit, value = store.get(key)
+        values.append(value if hit else None)
+    missing = [i for i, value in enumerate(values) if value is None]
+    if missing:
+        for i, value in zip(missing, compute(missing)):
+            store.put(keys[i], value)
+            values[i] = value
+    return values
 
 
 def enable(cache: Optional[ArtifactCache] = None) -> ArtifactCache:

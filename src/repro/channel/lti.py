@@ -12,7 +12,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import signal as sps
 
 from repro.errors import ConfigurationError
 from repro.signal.waveform import Waveform, WaveformBatch
@@ -71,7 +70,8 @@ class LTIChannel:
 
         The DC component passes at the channel gain; the filter acts
         on the AC content (a data channel is AC-coupled around its
-        running midpoint).
+        running midpoint). The result is row 0 of a one-row
+        :meth:`apply_batch` pass.
 
         Parameters
         ----------
@@ -84,30 +84,31 @@ class LTIChannel:
         """
         from repro import cache as _cache
 
+        def filtered():
+            return self._apply_batch_impl(WaveformBatch(
+                waveform.values[None], dt=waveform.dt, t0=waveform.t0,
+            )).row(0)
+
         store = _cache.resolve(cache)
         if store.enabled:
             key = _cache.canonical_digest(
                 "lti.apply", self.cache_key(), waveform.cache_token(),
             )
-            out = store.get_or_compute(
-                key, lambda: self._apply_impl(waveform)
-            )
-            return out.set_cache_token(key)
-        return self._apply_impl(waveform)
+            return store.get_or_compute(key, filtered) \
+                .set_cache_token(key)
+        return filtered()
 
     def apply_batch(self, batch: WaveformBatch,
                     cache=None) -> WaveformBatch:
         """Propagate every channel of *batch* in one filter pass.
 
-        The batched counterpart of :meth:`apply`: `scipy` runs the
-        SOS filter along the sample axis of the whole
-        ``(channels, samples)`` block, and the group-delay impulse
-        response is measured once instead of per channel. Each row's
-        output is *bit-identical* to :meth:`apply` on that row
-        (``sosfilt`` over a 2-D block applies the identical
-        recurrence per row; property-tested in
-        ``tests/test_batch_equivalence.py``), except that the AC
-        midpoint is each row's own mean, as in the scalar path.
+        `scipy` runs the SOS filter along the sample axis of the
+        whole ``(channels, samples)`` block, and the filter design
+        and its group-delay impulse response are memoized per
+        configuration. The AC midpoint is each row's own mean, so
+        each row's output is *bit-identical* to :meth:`apply` on
+        that row (``sosfilt`` over a 2-D block applies the
+        identical recurrence per row).
 
         Caching composes per row with single-channel keys: rows are
         keyed ``("lti.apply", channel config, row token)`` exactly
@@ -124,23 +125,16 @@ class LTIChannel:
             _cache.canonical_digest("lti.apply", self.cache_key(), tok)
             for tok in batch.cache_tokens()
         ]
-        hits = []
-        for key in keys:
-            hit, value = store.get(key)
-            hits.append(value if hit else None)
-        missing = [i for i, wf in enumerate(hits) if wf is None]
-        if missing:
-            sub_in = WaveformBatch(batch.values[missing], dt=batch.dt,
-                                   t0=batch.t0)
-            sub = self._apply_batch_impl(sub_in)
-            for j, i in enumerate(missing):
-                wf = Waveform(sub.values[j].copy(), dt=sub.dt,
-                              t0=sub.t0)
-                store.put(keys[i], wf)
-                hits[i] = wf
-        values = np.stack([wf.values for wf in hits])
-        return WaveformBatch(values, dt=hits[0].dt, t0=hits[0].t0,
-                             tokens=keys)
+
+        def filtered(missing):
+            sub = self._apply_batch_impl(WaveformBatch(
+                batch.values[missing], dt=batch.dt, t0=batch.t0))
+            return [Waveform(row.copy(), dt=sub.dt, t0=sub.t0)
+                    for row in sub.values]
+
+        rows = _cache.get_or_compute_rows(store, keys, filtered)
+        return WaveformBatch(np.stack([wf.values for wf in rows]),
+                             dt=rows[0].dt, t0=rows[0].t0, tokens=keys)
 
     def _apply_batch_impl(self, batch: WaveformBatch) -> WaveformBatch:
         dt_s = batch.dt * 1e-12
@@ -149,8 +143,14 @@ class LTIChannel:
         group_delay_samples = 0.0
         if f_cut >= f_nyquist or not batch.n_channels \
                 or not batch.n_samples:
+            # Channel faster than the simulation grid (bandwidth has
+            # no effect at this resolution), or nothing to filter.
             filtered = batch.values.copy()
         else:
+            # The causal filter carries its own group delay; a
+            # Bessel's is flat, so compensating it keeps delay_ps the
+            # channel's *only* latency. The kernel measures it from
+            # the impulse response's first moment.
             n_imp = min(batch.n_samples, max(64, int(16.0
                         * f_nyquist / f_cut)))
             from repro.signal import _kernels
@@ -162,41 +162,6 @@ class LTIChannel:
             t0=(batch.t0 + self.delay_ps
                 - group_delay_samples * batch.dt),
         )
-
-    def _apply_impl(self, waveform: Waveform) -> Waveform:
-        dt_s = waveform.dt * 1e-12
-        f_nyquist = 0.5 / dt_s
-        f_cut = self.bandwidth_ghz * 1e9
-        group_delay_samples = 0.0
-        if f_cut >= f_nyquist:
-            # Channel is faster than the simulation grid: bandwidth
-            # has no effect at this resolution.
-            filtered = waveform.values.copy()
-        else:
-            sos = sps.bessel(self.order, f_cut / f_nyquist,
-                             btype="low", output="sos", norm="mag")
-            mean = float(waveform.values.mean())
-            filtered = sps.sosfilt(sos, waveform.values - mean) + mean
-            # The causal filter carries its own group delay; a
-            # Bessel's is flat, so compensating it keeps delay_ps
-            # the channel's *only* latency. Measure it from the
-            # impulse response's first moment.
-            n_imp = min(len(waveform), max(64, int(16.0
-                        * f_nyquist / f_cut)))
-            impulse = np.zeros(n_imp)
-            impulse[0] = 1.0
-            h = sps.sosfilt(sos, impulse)
-            total = float(h.sum())
-            if abs(total) > 1e-12:
-                group_delay_samples = float(
-                    (np.arange(n_imp) * h).sum() / total
-                )
-        out = Waveform(
-            self.gain * filtered, dt=waveform.dt,
-            t0=(waveform.t0 + self.delay_ps
-                - group_delay_samples * waveform.dt),
-        )
-        return out
 
     def isi_dj_estimate(self, rate_gbps: float) -> float:
         """Rough deterministic jitter from ISI at *rate_gbps*, ps p-p.
@@ -242,7 +207,13 @@ class IdealChannel(LTIChannel):
         super().__init__(bandwidth_ghz=1e6, attenuation_db=0.0,
                          delay_ps=delay_ps, order=1)
 
-    def apply(self, waveform: Waveform) -> Waveform:
+    def apply(self, waveform: Waveform, cache=None) -> Waveform:
+        """Pass *waveform* through, shifted by the delay.
+
+        *cache* is accepted for signature compatibility with
+        :meth:`LTIChannel.apply` and unused: a shift costs less than
+        a cache lookup.
+        """
         return waveform.shifted(self.delay_ps)
 
     def apply_batch(self, batch: WaveformBatch,

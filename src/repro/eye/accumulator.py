@@ -12,12 +12,16 @@ Equivalence contract
 --------------------
 For the same record, ``EyeAccumulator`` fed any chunking produces a
 density grid **identical** to ``EyeDiagram.histogram2d`` over the
-same voltage range (binning is additive over chunks and both sides
-share :mod:`repro.eye._binning`). Metrics are the binned versions of
-:func:`repro.eye.metrics.measure_eye`: the crossover circular mean
-is exact (streamed sine/cosine sums), while jitter and vertical
-statistics are computed from histograms and therefore quantized —
-jitter to ``ui / n_phase_bins`` and voltages to
+same voltage range: binning is additive over chunks, both sides
+fold sample phases with :func:`repro.eye._binning.fold_phases`, and
+:func:`repro.signal._kernels.density_bin` counts exactly what the
+``np.histogram2d`` behind ``EyeDiagram.histogram2d`` counts over the
+same edges. Scalar and batched chunks go through the same kernels
+(a ``Waveform`` chunk is a one-row batch). Metrics are the binned
+versions of :func:`repro.eye.metrics.measure_eye`: the crossover
+circular mean is exact (streamed sine/cosine sums), while jitter and
+vertical statistics are computed from histograms and therefore
+quantized — jitter to ``ui / n_phase_bins`` and voltages to
 ``(v_range span) / n_volt_bins``. Widen the grids to tighten the
 bounds.
 """
@@ -31,8 +35,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ConfigurationError, MeasurementError
 from repro.eye.metrics import EyeMetrics
-from repro.signal.analysis import threshold_crossings
-from repro.signal.waveform import Waveform, WaveformBatch
+from repro.signal.waveform import WaveformBatch
 from repro._units import unit_interval_ps
 
 
@@ -129,8 +132,9 @@ class EyeAccumulator:
         self._carry_t = 0.0
         self._t_next: Optional[float] = None
         self._dt: Optional[float] = None
-        # Channel count of the stream's batches (None until the
-        # first batched chunk; scalar streams never set it).
+        # Stream kind and channel count, both None until the first
+        # chunk folds. A scalar stream folds one-row batches.
+        self._scalar_stream: Optional[bool] = None
         self._batch_channels: Optional[int] = None
 
     def update(self, chunk) -> "EyeAccumulator":
@@ -145,86 +149,38 @@ class EyeAccumulator:
         stream folds every row per chunk with a per-row seam carry,
         and must keep one channel count throughout (a stream is
         either scalar or batched, never mixed — the seam state is
-        per row).
+        per row). A ``Waveform`` chunk folds as a one-row batch.
         """
-        from repro.eye._binning import fold_phases
-
-        if isinstance(chunk, WaveformBatch):
-            return self._update_batch(chunk)
-        if self.n_channels is not None:
+        scalar = not isinstance(chunk, WaveformBatch)
+        if scalar and self.n_channels is not None:
             raise ConfigurationError(
                 "per-channel accumulator takes WaveformBatch chunks"
             )
-        if self._batch_channels is not None:
+        if self._scalar_stream is not None \
+                and scalar != self._scalar_stream:
             raise MeasurementError(
-                "stream is batched; feed WaveformBatch chunks"
+                "stream is scalar; feed Waveform chunks"
+                if self._scalar_stream
+                else "stream is batched; feed WaveformBatch chunks"
             )
-        if len(chunk) == 0:
-            return self
-        if self._dt is None:
-            self._dt = chunk.dt
-        elif abs(chunk.dt - self._dt) > 1e-12:
-            raise MeasurementError(
-                f"chunk dt {chunk.dt} differs from stream dt {self._dt}"
-            )
-        if self._t_next is not None \
-                and abs(chunk.t0 - self._t_next) > 1e-9 * self._dt:
-            raise MeasurementError(
-                f"chunk t0 {chunk.t0} does not continue the stream "
-                f"(expected {self._t_next})"
-            )
-        tel = telemetry.resolve(self.telemetry)
-        with tel.span("eye.accumulate"):
-            ui = self.unit_interval
-            values = chunk.values
-            n = len(values)
-            phases = fold_phases(chunk.t0 - self.t_first_bit,
-                                 self._dt, n, ui)
-            hist, _, _ = np.histogram2d(
-                phases, values, bins=(self.t_edges, self.v_edges),
-            )
-            self.grid += hist.astype(np.int64)
-            self.n_samples += n
-
-            # Crossings, including one straddling the chunk seam.
-            if self._carry_v is not None:
-                seam = Waveform(
-                    np.concatenate(([self._carry_v], values)),
-                    dt=self._dt, t0=self._carry_t,
-                )
-            else:
-                seam = Waveform(values, dt=self._dt, t0=chunk.t0)
-            times = threshold_crossings(seam, self.threshold) \
-                - self.t_first_bit
-            if len(times):
-                cp = np.mod(times, ui)
-                angles = 2.0 * np.pi * cp / ui
-                self._sum_sin += float(np.sin(angles).sum())
-                self._sum_cos += float(np.cos(angles).sum())
-                bins = np.minimum(
-                    (cp / ui * self.n_phase_bins).astype(np.int64),
-                    self.n_phase_bins - 1,
-                )
-                self.phase_hist += np.bincount(
-                    bins, minlength=self.n_phase_bins
-                ).astype(np.int64)
-                self.n_crossings += len(times)
-            self._carry_v = float(values[-1])
-            self._carry_t = chunk.t0 + (n - 1) * self._dt
-            self._t_next = chunk.t0 + n * self._dt
-            tel.counter("eye.samples_folded").inc(n)
-            tel.counter("eye.crossings").inc(len(times))
+        if scalar:
+            chunk = WaveformBatch(chunk.values[None], dt=chunk.dt,
+                                  t0=chunk.t0)
+        self._update_batch(chunk)
+        if self._dt is not None:  # the stream has started
+            self._scalar_stream = scalar
         return self
 
     def _update_batch(self, batch: WaveformBatch) -> "EyeAccumulator":
         """Fold one batched chunk: every row at once, per-row carry.
 
-        Per-row equivalence contract (property-tested in
+        Per-row equivalence contract (tested in
         ``tests/test_batch_equivalence.py``): for any chunking and
         any batching, each row's density grid, phase histogram, and
-        crossing counts are *identical* to feeding that row's chunks
-        through a scalar accumulator; the streamed circular-mean
-        sums match to float round-off (summation order).
+        crossing counts are *identical* to a one-shot
+        ``np.histogram2d`` and ``threshold_crossings`` pass over that
+        row's whole record; the streamed circular-mean sums match to
+        float round-off (summation order).
         """
         from repro.eye._binning import fold_phases
         from repro.signal import _kernels
@@ -234,10 +190,6 @@ class EyeAccumulator:
             raise MeasurementError(
                 f"batch has {c} channels; accumulator is configured "
                 f"for {self.n_channels}"
-            )
-        if isinstance(self._carry_v, float):
-            raise MeasurementError(
-                "stream is scalar; feed Waveform chunks"
             )
         if self._batch_channels is not None \
                 and c != self._batch_channels:

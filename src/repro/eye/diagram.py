@@ -14,7 +14,6 @@ import numpy as np
 from repro import telemetry
 from repro.errors import MeasurementError
 from repro.signal.waveform import Waveform, WaveformBatch
-from repro.signal.analysis import threshold_crossings
 from repro._units import unit_interval_ps
 
 
@@ -56,8 +55,9 @@ class EyeDiagram:
                       registry=None, cache=None) -> "EyeDiagram":
         """Fold *waveform* into an eye at *rate_gbps*.
 
-        The fold is allocation-lean: the analysis window is a no-copy
-        view of the record and sample phases come from
+        The fold is one row of :meth:`from_batch` and is
+        allocation-lean: the analysis window is a no-copy view of the
+        record and sample phases come from
         :func:`repro.eye._binning.fold_phases` (tiled, not an O(n)
         ``mod``, whenever the UI is commensurate with the sample
         grid).
@@ -80,8 +80,21 @@ class EyeDiagram:
             origin, discard)``; hits return the stored diagram
             itself, which — like every :class:`EyeDiagram` — must be
             treated as immutable.
+
+        Raises
+        ------
+        MeasurementError
+            If the record (after discarding) spans under two UIs,
+            including an empty record.
         """
         from repro import cache as _cache
+
+        def fold():
+            return cls._fold_batch_impl(
+                WaveformBatch(waveform.values[None], dt=waveform.dt,
+                              t0=waveform.t0),
+                rate_gbps, threshold, t_first_bit, discard_ui,
+                registry, False)[0]
 
         store = _cache.resolve(cache)
         if store.enabled:
@@ -89,53 +102,8 @@ class EyeDiagram:
                 "eye.fold", waveform.cache_token(), float(rate_gbps),
                 threshold, float(t_first_bit), int(discard_ui),
             )
-            return store.get_or_compute(
-                key,
-                lambda: cls._fold_impl(waveform, rate_gbps, threshold,
-                                       t_first_bit, discard_ui,
-                                       registry),
-            )
-        return cls._fold_impl(waveform, rate_gbps, threshold,
-                              t_first_bit, discard_ui, registry)
-
-    @classmethod
-    def _fold_impl(cls, waveform: Waveform, rate_gbps: float,
-                   threshold: Optional[float], t_first_bit: float,
-                   discard_ui: int, registry) -> "EyeDiagram":
-        from repro.eye._binning import fold_phases
-
-        tel = telemetry.resolve(registry)
-        with tel.span("eye.fold"):
-            ui = unit_interval_ps(rate_gbps)
-            if threshold is None:
-                threshold = 0.5 * (waveform.min() + waveform.max())
-            t_lo = t_first_bit + discard_ui * ui
-            t_hi = waveform.t_end - discard_ui * ui
-            if t_hi - t_lo < 2.0 * ui:
-                raise MeasurementError(
-                    "record too short for an eye diagram at this rate"
-                )
-            # Same index arithmetic as Waveform.slice_time, but on a
-            # read-only view — no megasample copy.
-            dt = waveform.dt
-            i0 = max(0, int(np.ceil((t_lo - waveform.t0) / dt)))
-            i1 = min(len(waveform) - 1,
-                     int(np.floor((t_hi - waveform.t0) / dt)))
-            if i1 < i0:
-                raise MeasurementError(
-                    "record too short for an eye diagram at this rate"
-                )
-            values = waveform.values[i0:i1 + 1]
-            t0w = waveform.t0 + i0 * dt
-            phases = fold_phases(t0w - t_first_bit, dt, len(values), ui)
-            window = Waveform(values, dt=dt, t0=t0w)  # view, no copy
-            crossings = threshold_crossings(window, threshold) \
-                - t_first_bit
-            crossing_phases = np.mod(crossings, ui)
-            tel.counter("eye.folds").inc()
-            tel.counter("eye.samples_folded").inc(len(phases))
-            tel.counter("eye.crossings").inc(len(crossing_phases))
-            return cls(phases, values, ui, crossing_phases, threshold)
+            return store.get_or_compute(key, fold)
+        return fold()
 
     @classmethod
     def from_batch(cls, batch: WaveformBatch, rate_gbps: float,
@@ -144,11 +112,11 @@ class EyeDiagram:
                    merge: bool = False, registry=None, cache=None):
         """Fold every channel of *batch* at *rate_gbps* at once.
 
-        The batched counterpart of :meth:`from_waveform`: the
-        analysis window, fold phases, and threshold crossings are
-        computed for the whole ``(channels, samples)`` block in one
-        vectorized pass (rows share one time grid, so the window
-        indices and phase fold are computed once).
+        The analysis window, fold phases, and threshold crossings
+        are computed for the whole ``(channels, samples)`` block in
+        one vectorized pass (rows share one time grid, so the window
+        indices and phase fold are computed once);
+        :meth:`from_waveform` is the one-row case.
 
         Parameters
         ----------
@@ -180,25 +148,19 @@ class EyeDiagram:
             )
             for tok in batch.cache_tokens()
         ]
-        hits = []
-        for key in keys:
-            hit, value = store.get(key)
-            hits.append(value if hit else None)
-        missing = [i for i, eye in enumerate(hits) if eye is None]
-        if missing:
+
+        def fold(missing):
             sub = WaveformBatch(batch.values[missing], dt=batch.dt,
                                 t0=batch.t0)
             eyes = cls._fold_batch_impl(sub, rate_gbps, threshold,
                                         t_first_bit, discard_ui,
                                         registry, False)
-            for j, i in enumerate(missing):
-                eye = eyes[j]
-                stored = cls(eye.phases, eye.voltages.copy(),
-                             eye.unit_interval, eye.crossing_phases,
-                             eye.threshold)
-                store.put(keys[i], stored)
-                hits[i] = stored
-        return hits
+            # Own the voltages: a view would keep the sub-batch alive.
+            return [cls(eye.phases, eye.voltages.copy(),
+                        eye.unit_interval, eye.crossing_phases,
+                        eye.threshold) for eye in eyes]
+
+        return _cache.get_or_compute_rows(store, keys, fold)
 
     @classmethod
     def _fold_batch_impl(cls, batch: WaveformBatch, rate_gbps: float,
@@ -237,8 +199,8 @@ class EyeDiagram:
                               0.5 * (float(batch.values.min())
                                      + float(batch.values.max())))
             else:
-                # Same per-row midpoint the scalar fold computes
-                # from the full record.
+                # Per-row midpoint of the full record, not only of
+                # the analysis window.
                 thr = 0.5 * (batch.values.min(axis=1)
                              + batch.values.max(axis=1))
 

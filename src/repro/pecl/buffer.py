@@ -128,25 +128,18 @@ class OutputBuffer:
               dt: float = 1.0) -> Waveform:
         """Render digital *bits* into the buffer's analog output.
 
+        Row 0 of a one-row :meth:`drive_batch` render, so for the
+        same RNG the jittered output is bit-identical to it.
+
         Parameters
         ----------
         extra_jitter:
             Jitter accumulated upstream (clock, muxes); combined with
             the buffer's own contribution.
         """
-        self.check_rate(rate_gbps)
-        budget = self.jitter_budget
-        if extra_jitter is not None:
-            budget = budget.combined(extra_jitter)
-        encoder = NRZEncoder(
-            rate_gbps,
-            v_low=self.levels.v_low,
-            v_high=self.levels.v_high,
-            t20_80=self.spec.t20_80,
-            shape=EdgeShape.ERF,
-            dt=dt,
-        )
-        return encoder.encode(bits, jitter=budget.build(), rng=rng)
+        return self.drive_batch(np.asarray(bits)[None], rate_gbps,
+                                extra_jitter=extra_jitter, rng=rng,
+                                dt=dt).row(0)
 
     def drive_batch(self, bits, rate_gbps: float,
                     extra_jitter: Optional[JitterBudget] = None,
@@ -154,12 +147,12 @@ class OutputBuffer:
                     dt: float = 1.0) -> WaveformBatch:
         """Render a ``(channels, n_bits)`` block through the buffer.
 
-        The batched counterpart of :meth:`drive`: one
-        :meth:`NRZEncoder.encode_batch` call renders every channel's
-        analog output through the shared edge template. The jitter
-        budget's offsets are drawn once over all channels'
-        concatenated edges, so results are statistically (not
-        bit-) identical to per-channel :meth:`drive` calls.
+        One :meth:`NRZEncoder.encode_batch` call renders every
+        channel's analog output through the shared edge template;
+        :meth:`drive` is the one-row case. The jitter budget's
+        offsets are drawn once over all channels' concatenated
+        edges, so results are statistically (not bit-) identical to
+        per-channel :meth:`drive` calls.
         """
         self.check_rate(rate_gbps)
         budget = self.jitter_budget

@@ -143,39 +143,24 @@ class PECLTransmitter:
         """Drive an already-serial bit stream (bench convenience).
 
         Rate ceilings of the serializer stage(s) still apply — the
-        stream notionally passed through them.
+        stream notionally passed through them. Row 0 of a one-row
+        :meth:`transmit_serial_batch` call, so for the same RNG the
+        jittered output is bit-identical to it.
         """
-        if isinstance(self.serializer, TwoStageSerializer):
-            self.serializer.stage_a.check_rates(rate_gbps / 2.0,
-                                                self.lane_limit_mbps)
-            if rate_gbps > self.serializer.mux.spec.max_output_gbps:
-                raise ConfigurationError(
-                    f"{rate_gbps} Gbps exceeds the output mux ceiling of "
-                    f"{self.serializer.mux.spec.max_output_gbps} Gbps"
-                )
-        else:
-            self.serializer.check_rates(rate_gbps, self.lane_limit_mbps)
-        self._sync_levels()
-        waveform = self.output_buffer.drive(
-            bits, rate_gbps,
-            extra_jitter=self.path_jitter_budget(),
-            rng=rng, dt=dt,
-        )
-        if self.delay_line.code != 0:
-            waveform = self.delay_line.apply(waveform) \
-                .shifted(-self.delay_line.insertion_delay)
-        return waveform
+        return self.transmit_serial_batch(np.asarray(bits)[None],
+                                          rate_gbps, rng=rng,
+                                          dt=dt).row(0)
 
     def transmit_serial_batch(self, bits, rate_gbps: float,
                               rng: Optional[np.random.Generator] = None,
                               dt: float = 1.0) -> WaveformBatch:
         """Drive a ``(channels, n_bits)`` block down this channel.
 
-        The batched counterpart of :meth:`transmit_serial` for a
-        group of streams sharing this transmitter's configuration:
-        one :meth:`OutputBuffer.drive_batch` render, the same rate
-        ceilings, and the programmed delay applied to every row.
-        Jitter offsets are drawn once across all rows' edges
+        For a group of streams sharing this transmitter's
+        configuration: one :meth:`OutputBuffer.drive_batch` render,
+        the serializer's rate ceilings, and the programmed delay
+        applied to every row; :meth:`transmit_serial` is the one-row
+        case. Jitter offsets are drawn once across all rows' edges
         (statistically, not bit-, identical to the per-channel
         loop).
         """
@@ -197,7 +182,7 @@ class PECLTransmitter:
         )
         if self.delay_line.code != 0:
             # The programmable delay is rarely armed; rows go
-            # through the scalar path and restack.
+            # through the per-waveform delay line and restack.
             batch = WaveformBatch.from_waveforms([
                 self.delay_line.apply(wf)
                 .shifted(-self.delay_line.insertion_delay)

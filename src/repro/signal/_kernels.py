@@ -4,16 +4,26 @@ The behavioural models in :mod:`repro.signal` stand in for hardware
 paths that sustain multi-gigabit line rates, so their inner loops
 must be array kernels, not interpreted Python. This module holds
 those kernels, one implementation each, called directly by the
-signal, channel, and eye layers:
+signal, channel, and eye layers. Every kernel works on a
+``(channels, samples)`` block; the scalar entry points
+(``NRZEncoder.encode``, ``LTIChannel.apply``,
+``EyeDiagram.from_waveform``, ``EyeAccumulator.update`` on a
+``Waveform``) pass a one-row block.
 
-``render_nrz``
-    O(samples + edges * window) NRZ rendering. The per-edge
-    full-tail accumulation of the original implementation (each
-    transition did ``v[i1:] += direction * swing``, making the
-    render quadratic in the edge count) is replaced by a step-level
-    baseline built once from the edge step deltas via
-    ``bincount``/``cumsum``, plus a window-local contribution
-    evaluated through a cached, oversampled edge-profile template.
+``render_nrz_batch``
+    O(samples + edges * window) NRZ rendering of every row at once.
+    The per-edge full-tail accumulation of the original
+    implementation (each transition did ``v[i1:] += direction *
+    swing``, making the render quadratic in the edge count) is
+    replaced by a step-level baseline built once from the edge step
+    deltas via ``bincount``/``cumsum``, plus a window-local
+    contribution evaluated through a cached, oversampled
+    edge-profile template. On an integer time grid (edge instants,
+    ``dt``, and record origin on whole picoseconds: every
+    jitter-free paper configuration) the per-edge window profiles
+    collapse into a handful of distinct rows, evaluated once and
+    gathered per edge. Any other grid takes the general flattened
+    render.
 
 ``edge_template``
     The template cache. Templates are keyed on
@@ -22,15 +32,6 @@ signal, channel, and eye layers:
     is applied by linear interpolation into the template instead of
     re-evaluating the analytic profile per edge. Hits and misses are
     reported through ``nrz.template_cache.{hits,misses}``.
-
-``render_nrz_batch``
-    The ``(channels, samples)`` render behind
-    :meth:`repro.signal.nrz.NRZEncoder.encode_batch`. On an integer
-    time grid (edge instants, ``dt``, and record origin on whole
-    picoseconds: every jitter-free paper configuration) the per-edge
-    window profiles collapse into a handful of distinct rows,
-    evaluated once and gathered per edge. Any other grid takes the
-    general flattened render.
 
 ``sosfilt_batch``
     Bessel low-pass over every row of a block, with the filter design
@@ -54,10 +55,12 @@ signal, channel, and eye layers:
 
 Equivalence contracts (enforced by tests/test_kernels_equivalence.py
 and tests/test_batch_equivalence.py): the PRBS kernel is bit-exact
-against the scalar LFSR; the NRZ kernel matches the reference loop
-within ``NRZ_EQUIVALENCE_ATOL`` of the swing (template interpolation
-error; exact for zero rise time); every batched kernel is
-bit-identical to the reference ops those suites keep.
+against the scalar LFSR; the NRZ kernel matches the per-edge
+reference loop within ``NRZ_EQUIVALENCE_ATOL`` of the swing
+(template interpolation error; exact for zero rise time), and each
+of its rows is bit-identical to the single-record render those
+suites keep; every other kernel is bit-identical to the reference
+op those suites keep.
 """
 
 from __future__ import annotations
@@ -196,72 +199,12 @@ def template_cache_size() -> int:
         return len(_template_cache)
 
 
-def render_nrz(n: int, t_start: float, dt: float, base: float,
-               swing: float, times: np.ndarray, directions: np.ndarray,
-               t20_80: float, shape: EdgeShape, tel=None) -> np.ndarray:
-    """Render an NRZ waveform's sample values.
-
-    Parameters
-    ----------
-    n, t_start, dt:
-        Output record: sample count, first-sample time, spacing (ps).
-    base:
-        Level before the first edge (``v_low + swing * bits[0]``).
-    swing:
-        ``v_high - v_low``.
-    times, directions:
-        Edge instants (ps, jitter already applied) and +1/-1 edge
-        directions.
-    t20_80, shape:
-        Transition time and analytic edge shape.
-    tel:
-        Optional telemetry registry for template-cache counters.
-
-    Cost is O(n + edges * window / dt): a step baseline built in one
-    ``bincount``/``cumsum`` pass plus one flat gather/scatter over
-    the concatenated edge windows.
-    """
-    v = np.full(n, base, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    if len(times) == 0:
-        return v
-    directions = np.asarray(directions, dtype=np.float64)
-    window = edge_window(t20_80, dt)
-
-    # Window bounds per edge, truncated exactly as the reference
-    # loop's int() casts did, then clipped to the record.
-    i0 = ((times - window - t_start) / dt).astype(np.int64)
-    i1 = ((times + window - t_start) / dt).astype(np.int64) + 2
-    np.clip(i0, 0, n, out=i0)
-    np.clip(i1, i0, n, out=i1)
-
-    # Saturated tails: every edge adds a +/-swing step from the end
-    # of its window onward. bincount + cumsum applies all of them in
-    # one O(n + edges) pass.
-    steps = np.bincount(i1, weights=directions * swing,
-                        minlength=n + 1)[:n]
-    v += np.cumsum(steps)
-
-    # In-window contribution, flattened across edges.
-    lengths = i1 - i0
-    total = int(lengths.sum())
-    if total == 0:
-        return v
-    starts = np.cumsum(lengths) - lengths
-    flat = np.repeat(i0 - starts, lengths) + np.arange(total)
-    tau = (t_start + dt * flat) - np.repeat(times, lengths)
-    profile = _window_profile(tau, t20_80, shape, dt, tel)
-    contrib = np.repeat(directions * swing, lengths) * profile
-    v += np.bincount(flat, weights=contrib, minlength=n)
-    return v
-
-
 def _window_profile(tau: np.ndarray, t20_80: float, shape: EdgeShape,
                     dt: float, tel=None) -> np.ndarray:
     """Normalized edge profile at offsets *tau* from the transition.
 
-    Shared by the single-record and batched renders so both evaluate
-    bit-identical in-window contributions.
+    Shared by both in-window paths of :func:`render_nrz_batch` so
+    they evaluate bit-identical contributions.
     """
     if t20_80 == 0.0:
         return (tau >= 0.0).astype(np.float64)
@@ -289,14 +232,14 @@ def render_nrz_batch(n_channels: int, n: int, t_start: float, dt: float,
                      tel=None) -> np.ndarray:
     """Render a ``(channels, samples)`` block of NRZ waveforms.
 
-    The batched counterpart of :func:`render_nrz`: every channel's
-    edges are flattened into one set of arrays and rendered through
-    a single ``bincount``/``cumsum``/scatter pass, sharing one edge
-    template across all rows. Per-row bin ranges are disjoint and
-    edges arrive in row-major order, so each row's accumulation
-    order is identical to a per-channel :func:`render_nrz` call —
-    the batch is *bit-identical* to the per-channel loop
-    (property-tested in ``tests/test_batch_equivalence.py``).
+    Every channel's edges are flattened into one set of arrays and
+    rendered through a single ``bincount``/``cumsum``/scatter pass,
+    sharing one edge template across all rows. Per-row bin ranges
+    are disjoint and edges arrive in row-major order, so each row's
+    accumulation order is that of a single-record render — each row
+    is *bit-identical* to rendering that channel alone (tested
+    against the single-record reference render in
+    ``tests/test_kernels_equivalence.py``).
 
     On an integer time grid the in-window contributions take the
     grouped-profile fast path (:func:`_add_windows_grouped`);
@@ -315,8 +258,10 @@ def render_nrz_batch(n_channels: int, n: int, t_start: float, dt: float,
     times, directions, rows:
         Flattened edge instants (ps), +1/-1 directions, and owning
         row indices — sorted by row (row-major edge order).
-    t20_80, shape, tel:
-        As for :func:`render_nrz`.
+    t20_80, shape:
+        Transition time and analytic edge shape.
+    tel:
+        Optional telemetry registry for template-cache counters.
     """
     base = np.asarray(base, dtype=np.float64)
     v = np.empty((n_channels, n), dtype=np.float64)
@@ -337,8 +282,9 @@ def render_nrz_batch(n_channels: int, n: int, t_start: float, dt: float,
     i0 = np.clip(i0r, 0, n)
     i1 = np.clip(i1r, i0, n)
 
-    # Saturated tails, all rows at once: row r owns bins
-    # [r*(n+1), (r+1)*(n+1)) so the per-row weight sums match the
+    # Saturated tails, all rows at once: every edge adds a +/-swing
+    # step from the end of its window onward. Row r owns bins
+    # [r*(n+1), (r+1)*(n+1)) so the per-row weight sums match a
     # single-record bincount exactly.
     steps = np.bincount(rows * (n + 1) + i1, weights=edge_amp,
                         minlength=n_channels * (n + 1))
@@ -371,8 +317,10 @@ def _add_windows_flat(v, t_start, dt, times, edge_amp, rows, i0, i1,
     tau = (t_start + dt * flat) - np.repeat(times, lengths)
     profile = _window_profile(tau, t20_80, shape, dt, tel)
     contrib = np.repeat(edge_amp, lengths) * profile
-    v += np.bincount(np.repeat(rows, lengths) * n + flat,
-                     weights=contrib,
+    # One row (every scalar render) needs no per-row bin offset.
+    bins = flat if n_channels == 1 \
+        else np.repeat(rows, lengths) * n + flat
+    v += np.bincount(bins, weights=contrib,
                      minlength=n_channels * n).reshape(n_channels, n)
 
 
@@ -523,31 +471,6 @@ def eye_fold(values: np.ndarray, thresholds: np.ndarray):
     return rows, cols, frac
 
 
-def _bisect_right_uniform(edges: np.ndarray, x: np.ndarray,
-                          n_bins: int) -> np.ndarray:
-    """``np.searchsorted(edges, x, side='right')`` for near-uniform
-    *edges* (a ``linspace``), bit-identical.
-
-    An arithmetic bin guess replaces the binary search; the guess
-    can be off by at most one (float error is a tiny fraction of a
-    bin for any in-range value, and out-of-range values clip), so
-    one exact comparison against the true edge values on each side
-    restores the ``edges[i-1] <= x < edges[i]`` invariant.
-    """
-    v0 = edges[0]
-    inv_dv = n_bins / (edges[n_bins] - v0)
-    # Clamp before the multiply so huge out-of-range values cannot
-    # overflow the int cast; the exact comparisons below use the
-    # unclamped x, so the result is still correct for them.
-    xc = np.clip(x, v0, edges[n_bins])
-    guess = ((xc - v0) * inv_dv).astype(np.int64) + 1
-    np.clip(guess, 0, n_bins + 1, out=guess)
-    padded = np.concatenate((edges, [np.inf]))
-    too_high = (guess > 0) & (x < padded[np.maximum(guess - 1, 0)])
-    too_low = x >= padded[guess]
-    return guess - too_high + too_low
-
-
 def density_bin(phases: np.ndarray, values: np.ndarray,
                 t_edges: np.ndarray, v_edges: np.ndarray) -> np.ndarray:
     """Per-row 2-D (time x voltage) histogram counts.
@@ -569,7 +492,7 @@ def density_bin(phases: np.ndarray, values: np.ndarray,
     tb = np.searchsorted(t_edges, phases, side="right")
     tb[phases == t_edges[-1]] -= 1
     flat = values.reshape(-1)
-    vb = _bisect_right_uniform(v_edges, flat, nv)
+    vb = np.searchsorted(v_edges, flat, side="right")
     vb[flat == v_edges[-1]] -= 1
     trash = c * nt * nv
     t_idx = (tb - 1) * nv

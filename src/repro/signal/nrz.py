@@ -83,28 +83,16 @@ class NRZEncoder:
         preceding bits as an integer (for data-dependent jitter).
         """
         bits = np.asarray(bits).astype(np.int8)
-        if len(bits) < 2:
-            # dtype pinned: downstream jitter models do float math on
-            # these and must never see a default/object dtype.
-            return (np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.int64))
-        change = np.flatnonzero(np.diff(bits) != 0)
-        times = (change + 1).astype(np.float64) * self.unit_interval
-        directions = np.where(bits[change + 1] > bits[change], 1.0, -1.0)
-        history = np.zeros(len(change), dtype=np.int64)
-        for k in range(4):
-            idx = change - k
-            valid = idx >= 0
-            vals = np.zeros(len(change), dtype=np.int64)
-            vals[valid] = bits[idx[valid]]
-            history |= vals << k
+        times, directions, history, _ = self._edge_times_batch(bits[None])
         return times, directions, history
 
     def encode(self, bits, jitter: Optional[JitterModel] = None,
                rng: Optional[np.random.Generator] = None,
                pad_ui: float = 1.0, cache=None) -> Waveform:
         """Render *bits* as an analog waveform.
+
+        The render is row 0 of a one-row :meth:`encode_batch` block:
+        for the same RNG, jittered output is bit-identical too.
 
         Parameters
         ----------
@@ -137,32 +125,32 @@ class NRZEncoder:
 
         from repro import cache as _cache
 
+        def render():
+            return self._encode_batch_impl(bits[None], jitter, rng,
+                                           pad_ui).row(0)
+
         store = _cache.resolve(cache)
         if store.enabled and jitter is None:
             key = _cache.canonical_digest(
                 "nrz.encode", self.cache_key(), bits, float(pad_ui),
             )
-            wf = store.get_or_compute(
-                key, lambda: self._encode_impl(bits, None, rng, pad_ui)
-            )
-            return wf.set_cache_token(key)
-        return self._encode_impl(bits, jitter, rng, pad_ui)
+            return store.get_or_compute(key, render).set_cache_token(key)
+        return render()
 
     def encode_batch(self, bits, jitter: Optional[JitterModel] = None,
                      rng: Optional[np.random.Generator] = None,
                      pad_ui: float = 1.0, cache=None) -> WaveformBatch:
         """Render a ``(channels, n_bits)`` bit block as a batch.
 
-        The batched counterpart of :meth:`encode`: every channel is
-        rendered through one flattened kernel pass
+        Every channel is rendered through one flattened kernel pass
         (:func:`repro.signal._kernels.render_nrz_batch`) sharing a
-        single edge template, with no per-channel Python loop. The
-        output is *bit-identical* per row to calling :meth:`encode`
-        on each channel when *jitter* is None; with a jitter model
-        the offsets are drawn in one call over the concatenated
-        edges, so the RNG consumption order differs from the
-        per-channel loop (statistically equivalent, not
-        bit-identical).
+        single edge template, with no per-channel Python loop;
+        :meth:`encode` is the one-row case. The output is
+        *bit-identical* per row to calling :meth:`encode` on each
+        channel when *jitter* is None; with a jitter model the
+        offsets are drawn in one call over the concatenated edges,
+        so the RNG consumption order differs from the per-channel
+        loop (statistically equivalent, not bit-identical).
 
         Caching composes per row: each channel is keyed with the
         *same* digest formula as the single-channel path, so batched
@@ -196,34 +184,29 @@ class NRZEncoder:
             )
             for i in range(len(bits))
         ]
-        hits = []
-        for key in keys:
-            hit, value = store.get(key)
-            hits.append(value if hit else None)
-        missing = [i for i, wf in enumerate(hits) if wf is None]
-        if missing:
+
+        def render(missing):
             sub = self._encode_batch_impl(bits[missing], None, rng,
                                           pad_ui)
-            for j, i in enumerate(missing):
-                wf = Waveform(sub.values[j].copy(), dt=sub.dt,
-                              t0=sub.t0)
-                store.put(keys[i], wf)
-                hits[i] = wf
-        values = np.stack([wf.values for wf in hits])
-        return WaveformBatch(values, dt=hits[0].dt, t0=hits[0].t0,
-                             tokens=keys)
+            return [Waveform(row.copy(), dt=sub.dt, t0=sub.t0)
+                    for row in sub.values]
+
+        rows = _cache.get_or_compute_rows(store, keys, render)
+        return WaveformBatch(np.stack([wf.values for wf in rows]),
+                             dt=rows[0].dt, t0=rows[0].t0, tokens=keys)
 
     def _edge_times_batch(
             self, bits: np.ndarray, need_history: bool = True
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Flattened ``(times, directions, history, rows)`` for a block.
 
-        Row-major edge order, matching per-row
-        :meth:`edge_times_and_directions` output exactly. History
-        codes are only consumed by jitter models; *need_history*
-        False skips their gather and returns zeros.
+        Row-major edge order. History codes (up to four preceding
+        bits per edge) are only consumed by jitter models;
+        *need_history* False skips their gather and returns zeros.
         """
         if bits.shape[1] < 2:
+            # dtypes pinned: jitter models do float math on these and
+            # must never see a default/object dtype.
             return (np.empty(0, dtype=np.float64),
                     np.empty(0, dtype=np.float64),
                     np.empty(0, dtype=np.int64),
@@ -274,37 +257,6 @@ class NRZEncoder:
             tel.counter("nrz.edges").inc(len(times))
             tel.counter("nrz.samples").inc(n * len(bits))
             return WaveformBatch(v, dt=self.dt, t0=t_start)
-
-    def _encode_impl(self, bits: np.ndarray,
-                     jitter: Optional[JitterModel],
-                     rng: np.random.Generator,
-                     pad_ui: float) -> Waveform:
-        tel = telemetry.resolve(self.telemetry)
-        with tel.span("nrz.encode"):
-            ui = self.unit_interval
-            pad = pad_ui * ui
-            t_start = -pad
-            t_stop = len(bits) * ui + pad
-            n = int(round((t_stop - t_start) / self.dt)) + 1
-
-            times, directions, history = \
-                self.edge_times_and_directions(bits)
-            if jitter is not None and len(times):
-                times = times + jitter.offsets(times, directions,
-                                               history, rng)
-
-            swing = self.v_high - self.v_low
-            v = _kernels.render_nrz(
-                n, t_start, self.dt,
-                base=self.v_low + swing * float(bits[0]),
-                swing=swing, times=times, directions=directions,
-                t20_80=self.t20_80, shape=self.shape, tel=tel,
-            )
-            tel.counter("nrz.encodes").inc()
-            tel.counter("nrz.bits").inc(len(bits))
-            tel.counter("nrz.edges").inc(len(times))
-            tel.counter("nrz.samples").inc(n)
-            return Waveform(v, dt=self.dt, t0=t_start)
 
 
 def bits_to_waveform(bits, rate_gbps: float, v_low: float = 0.0,

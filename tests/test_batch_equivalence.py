@@ -1,16 +1,21 @@
 """Golden equivalence suite for the batched signal path.
 
-Every batched stage is checked against the kept per-channel
-reference loop — the single-waveform APIs it replaces. The contract
-per stage:
+The scalar entry points of the NRZ, LTI, fold, and accumulator
+stages are one-row calls into the batched ones, so each stage is
+checked against an independent reference that does not call the
+production batch code: the single-record ``render_nrz`` and
+``_reference_sosfilt_batch`` kept in
+``tests/test_kernels_equivalence.py``, a fold built on
+``threshold_crossings``, and a one-shot ``np.histogram2d`` density.
+The contract per stage:
 
 * NRZ render, LTI filtering, eye folding, accumulator grids, and
   the WDM mux are **bit-identical** per row (shared kernels, per-row
-  disjoint reductions).
+  disjoint reductions), and so are the scalar entry points.
 * Crosstalk mixing and the WDM demux reorder float additions (one
-  matrix product instead of sequential per-pair adds) and are pinned
-  to the documented tolerances ``XTALK_EQUIVALENCE_RTOL/ATOL`` and
-  ``WDM_EQUIVALENCE_RTOL/ATOL``.
+  matrix product instead of the dict paths' sequential per-pair
+  adds) and are pinned to the documented tolerances
+  ``XTALK_EQUIVALENCE_RTOL/ATOL`` and ``WDM_EQUIVALENCE_RTOL/ATOL``.
 
 Cache composition is part of the contract: batched stages key each
 row with the *same* digest formula as the single-channel path, so
@@ -35,6 +40,7 @@ from repro.channel.crosstalk import (
 from repro.channel.lti import IdealChannel, LTIChannel
 from repro.errors import ConfigurationError, MeasurementError
 from repro.eye import EyeAccumulator, EyeDiagram
+from repro.eye._binning import fold_phases
 from repro.optics.laser import WavelengthChannel
 from repro.optics.wdm import (
     WDM_EQUIVALENCE_ATOL,
@@ -44,12 +50,18 @@ from repro.optics.wdm import (
     stack_channels,
     unstack_channels,
 )
+from repro.signal.analysis import threshold_crossings
 from repro.signal.edges import EdgeShape
 from repro.signal.jitter import JitterBudget
 from repro.signal.nrz import NRZEncoder
 from repro.signal.prbs import prbs_bits
 from repro.signal.waveform import Waveform, WaveformBatch
-from tests.test_kernels_equivalence import array_ops  # noqa: F401
+from repro._units import unit_interval_ps
+from tests.test_kernels_equivalence import (  # noqa: F401
+    _reference_sosfilt_batch,
+    array_ops,
+    render_nrz,
+)
 
 #: Every batched-vs-scalar identity must hold on the production array
 #: kernels and on the plain reference ops alike.
@@ -68,30 +80,82 @@ bit_blocks = st.integers(0, 2 ** 31 - 1).flatmap(
 edge_shapes = st.sampled_from(list(EdgeShape))
 
 
+def _reference_encode(enc, bits):
+    """A clean ``enc.encode(bits)`` (one UI of padding) through the
+    single-record reference render, with edges found by its own
+    diff."""
+    bits = np.asarray(bits).astype(np.int8)
+    ui = enc.unit_interval
+    t_start = -ui
+    n = int(round((len(bits) * ui + ui - t_start) / enc.dt)) + 1
+    change = np.flatnonzero(np.diff(bits))
+    times = (change + 1).astype(np.float64) * ui
+    directions = np.where(bits[change + 1] > bits[change], 1.0, -1.0)
+    swing = enc.v_high - enc.v_low
+    values = render_nrz(n, t_start, enc.dt,
+                        enc.v_low + swing * float(bits[0]), swing,
+                        times, directions, enc.t20_80, enc.shape)
+    return Waveform(values, dt=enc.dt, t0=t_start)
+
+
+def _reference_lti(channel, wf):
+    """``channel.apply(wf)`` through the reference Bessel filter,
+    designed on every call."""
+    f_nyquist = 0.5 / (wf.dt * 1e-12)
+    f_cut = channel.bandwidth_ghz * 1e9
+    if f_cut >= f_nyquist:
+        return Waveform(channel.gain * wf.values, dt=wf.dt,
+                        t0=wf.t0 + channel.delay_ps)
+    n_imp = min(len(wf), max(64, int(16.0 * f_nyquist / f_cut)))
+    filtered, delay = _reference_sosfilt_batch(
+        wf.values[None], channel.order, f_cut / f_nyquist, n_imp)
+    return Waveform(channel.gain * filtered[0], dt=wf.dt,
+                    t0=wf.t0 + channel.delay_ps - delay * wf.dt)
+
+
+def _reference_fold(wf, rate_gbps):
+    """``(threshold, phases, voltages, crossing_phases)`` of
+    ``EyeDiagram.from_waveform(wf, rate_gbps)`` (bit cell 0 at t=0,
+    one UI discarded at each end), built on ``threshold_crossings``."""
+    ui = unit_interval_ps(rate_gbps)
+    threshold = 0.5 * (wf.min() + wf.max())
+    i0 = max(0, int(np.ceil((ui - wf.t0) / wf.dt)))
+    i1 = min(len(wf) - 1, int(np.floor((wf.t_end - ui - wf.t0) / wf.dt)))
+    window = Waveform(wf.values[i0:i1 + 1], dt=wf.dt,
+                      t0=wf.t0 + i0 * wf.dt)
+    phases = fold_phases(window.t0, wf.dt, len(window), ui)
+    crossings = threshold_crossings(window, threshold)
+    return threshold, phases, window.values, np.mod(crossings, ui)
+
+
 def _batch_from_bits(bits, rate=2.5, t20_80=72.0,
                      shape=EdgeShape.ERF, dt=1.0,
                      v_low=-0.4, v_high=0.4):
-    """``(encoder, batch, per-row waveforms)`` reference pair."""
+    """``(encoder, batch, per-row reference waveforms)``."""
     enc = NRZEncoder(rate, v_low=v_low, v_high=v_high,
                      t20_80=t20_80, shape=shape, dt=dt)
     batch = enc.encode_batch(bits)
-    rows = [enc.encode(bits[i]) for i in range(len(bits))]
+    rows = [_reference_encode(enc, bits[i]) for i in range(len(bits))]
     return enc, batch, rows
 
 
 class TestNRZGoldenEquivalence:
-    """encode_batch rows == per-channel encode, bitwise."""
+    """encode_batch rows and per-channel encode == the reference
+    render, bitwise."""
 
     @given(bits=bit_blocks, t20_80=st.sampled_from(
         [0.0, 40.0, 72.0, 120.0]), shape=edge_shapes)
     @settings(max_examples=30, deadline=None)
     def test_rows_bit_identical(self, bits, t20_80, shape):
-        _, batch, rows = _batch_from_bits(bits, t20_80=t20_80,
-                                          shape=shape)
+        enc, batch, rows = _batch_from_bits(bits, t20_80=t20_80,
+                                            shape=shape)
         assert batch.n_channels == len(bits)
         for i, ref in enumerate(rows):
             assert batch.dt == ref.dt and batch.t0 == ref.t0
             assert np.array_equal(batch.values[i], ref.values)
+            wf = enc.encode(bits[i])
+            assert wf.dt == ref.dt and wf.t0 == ref.t0
+            assert np.array_equal(wf.values, ref.values)
 
     def test_single_channel_batch(self):
         bits = np.array([[0, 1, 1, 0, 1, 0, 1, 1]])
@@ -160,7 +224,8 @@ class TestNRZGoldenEquivalence:
 
 
 class TestLTIGoldenEquivalence:
-    """apply_batch rows == per-channel apply, bitwise."""
+    """apply_batch rows and per-channel apply == the reference
+    filter, bitwise."""
 
     @given(bits=bit_blocks, bw=st.sampled_from([1.0, 3.0, 8.0, 1e4]),
            loss=st.sampled_from([0.0, 1.5]))
@@ -170,9 +235,12 @@ class TestLTIGoldenEquivalence:
         ch = LTIChannel(bw, attenuation_db=loss, delay_ps=35.0)
         out = ch.apply_batch(batch)
         for i, wf in enumerate(rows):
-            ref = ch.apply(wf)
+            ref = _reference_lti(ch, wf)
             assert out.dt == ref.dt and out.t0 == ref.t0
             assert np.array_equal(out.values[i], ref.values)
+            got = ch.apply(wf)
+            assert got.dt == ref.dt and got.t0 == ref.t0
+            assert np.array_equal(got.values, ref.values)
 
     def test_empty_batch_passes_through(self):
         ch = LTIChannel(3.0)
@@ -293,7 +361,8 @@ class TestWDMGoldenEquivalence:
 
 
 class TestEyeFoldGoldenEquivalence:
-    """from_batch (merge=False) == per-row from_waveform, bitwise."""
+    """from_batch (merge=False) rows and per-row from_waveform == the
+    reference fold, bitwise."""
 
     @given(seed=st.integers(0, 100), n_rows=st.integers(1, 5))
     @settings(max_examples=15, deadline=None)
@@ -306,12 +375,14 @@ class TestEyeFoldGoldenEquivalence:
         eyes = EyeDiagram.from_batch(batch, 2.5)
         assert len(eyes) == n_rows
         for eye, wf in zip(eyes, rows):
-            ref = EyeDiagram.from_waveform(wf, 2.5)
-            assert eye.threshold == ref.threshold
-            assert np.array_equal(eye.phases, ref.phases)
-            assert np.array_equal(eye.voltages, ref.voltages)
-            assert np.array_equal(eye.crossing_phases,
-                                  ref.crossing_phases)
+            threshold, phases, voltages, crossing_phases = \
+                _reference_fold(wf, 2.5)
+            for got in (eye, EyeDiagram.from_waveform(wf, 2.5)):
+                assert got.threshold == threshold
+                assert np.array_equal(got.phases, phases)
+                assert np.array_equal(got.voltages, voltages)
+                assert np.array_equal(got.crossing_phases,
+                                      crossing_phases)
 
     def test_merge_pools_all_rows(self):
         bits = np.random.default_rng(5).integers(
@@ -335,7 +406,8 @@ class TestEyeFoldGoldenEquivalence:
 
 
 class TestAccumulatorBatchEquivalence:
-    """Any chunking x any batching folds like per-row scalar streams."""
+    """Any chunking x any batching folds each row like one
+    ``np.histogram2d`` and ``threshold_crossings`` pass over it."""
 
     def _row_records(self, n_rows=3, n_bits=300, seed=11):
         bits = np.stack([prbs_bits(7, n_bits, seed=s)
@@ -344,12 +416,24 @@ class TestAccumulatorBatchEquivalence:
         return batch, rows
 
     @staticmethod
-    def _scalar_reference(wf, v_range, threshold, chunk=977):
-        acc = EyeAccumulator(2.5, v_range=v_range, threshold=threshold)
-        for i in range(0, len(wf), chunk):
-            acc.update(Waveform(wf.values[i:i + chunk].copy(),
-                                dt=wf.dt, t0=wf.t0 + i * wf.dt))
-        return acc
+    def _reference(wf, v_range, threshold):
+        """``(grid, phase_hist, n_crossings, crossover_phase)`` of
+        one whole record, as a 2.5 Gbps ``EyeAccumulator`` with the
+        default grids folds it."""
+        ui = unit_interval_ps(2.5)
+        n_bins, n_phase_bins = 64, 256
+        grid, _, _ = np.histogram2d(
+            fold_phases(wf.t0, wf.dt, len(wf), ui), wf.values,
+            bins=(np.linspace(0.0, ui, n_bins + 1),
+                  np.linspace(v_range[0], v_range[1], n_bins + 1)))
+        cp = np.mod(threshold_crossings(wf, threshold), ui)
+        bins = np.minimum((cp / ui * n_phase_bins).astype(np.int64),
+                          n_phase_bins - 1)
+        angle = np.arctan2(np.mean(np.sin(2.0 * np.pi * cp / ui)),
+                           np.mean(np.cos(2.0 * np.pi * cp / ui)))
+        return (grid.astype(np.int64),
+                np.bincount(bins, minlength=n_phase_bins), len(cp),
+                float(np.mod(angle / (2.0 * np.pi) * ui, ui)))
 
     @given(chunk=st.integers(31, 5000))
     @settings(max_examples=10, deadline=None)
@@ -365,17 +449,15 @@ class TestAccumulatorBatchEquivalence:
                 np.ascontiguousarray(batch.values[:, i:i + chunk]),
                 dt=batch.dt, t0=batch.t0 + i * batch.dt))
         for k, wf in enumerate(rows):
-            ref = self._scalar_reference(wf, v_range, 0.0)
-            grid_b, te, ve = acc.density(channel=k)
-            grid_s, te2, ve2 = ref.density()
-            assert np.array_equal(grid_b, grid_s)
-            assert np.array_equal(te, te2) and np.array_equal(ve, ve2)
-            assert np.array_equal(acc.phase_hist[k], ref.phase_hist)
-            assert int(acc.n_crossings_per_channel[k]) \
-                == ref.n_crossings
-            assert int(acc.n_samples_per_channel[k]) == ref.n_samples
+            grid, phase_hist, n_crossings, crossover = \
+                self._reference(wf, v_range, 0.0)
+            grid_b, _, _ = acc.density(channel=k)
+            assert np.array_equal(grid_b, grid)
+            assert np.array_equal(acc.phase_hist[k], phase_hist)
+            assert int(acc.n_crossings_per_channel[k]) == n_crossings
+            assert int(acc.n_samples_per_channel[k]) == len(wf)
             assert acc.crossover_phase(channel=k) == pytest.approx(
-                ref.crossover_phase(), abs=1e-9)
+                crossover, abs=1e-9)
 
     def test_merged_mode_pools_channels_exactly(self):
         batch, rows = self._row_records()
@@ -383,11 +465,8 @@ class TestAccumulatorBatchEquivalence:
                    float(batch.values.max()))
         merged = EyeAccumulator(2.5, v_range=v_range, threshold=0.0)
         merged.update(batch)
-        expected = np.zeros_like(merged.grid)
-        for wf in rows:
-            ref = self._scalar_reference(wf, v_range, 0.0,
-                                         chunk=len(wf))
-            expected += ref.grid
+        expected = sum(self._reference(wf, v_range, 0.0)[0]
+                       for wf in rows)
         assert np.array_equal(merged.grid, expected)
         assert merged.n_samples == batch.values.size
 
@@ -490,6 +569,41 @@ class TestTestbedBatchEquivalence:
         quiet = quiet_bed.transmit_slot_batch(slot, seed=4)
         assert not np.array_equal(coupled["data1"].values,
                                   quiet["data1"].values)
+
+
+class TestOneRowEntryPoints:
+    """A jittered scalar call is row 0 of its one-row batch call,
+    bitwise, for the same RNG seed."""
+
+    def test_jittered_scalar_calls_equal_one_row_batches(self):
+        from repro.dlc.clocking import ClockSignal
+        from repro.pecl.buffer import OutputBuffer
+        from repro.pecl.serializer import ParallelToSerial
+        from repro.pecl.transmitter import PECLTransmitter
+
+        bits = prbs_bits(7, 300)
+        jitter = JitterBudget(rj_rms=3.2, dj_pp=23.0).build()
+        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+        buf = OutputBuffer()
+        tx = PECLTransmitter(ParallelToSerial(),
+                             clock=ClockSignal(2.5, 2.5, "rf"),
+                             lane_limit_mbps=800.0)
+        tx.set_delay_code(37)  # arms the per-row delay-line path
+        pairs = [
+            (lambda rng: enc.encode(bits, jitter=jitter, rng=rng),
+             lambda rng: enc.encode_batch(bits[None], jitter=jitter,
+                                          rng=rng)),
+            (lambda rng: buf.drive(bits, 2.5, rng=rng),
+             lambda rng: buf.drive_batch(bits[None], 2.5, rng=rng)),
+            (lambda rng: tx.transmit_serial(bits, 2.5, rng=rng),
+             lambda rng: tx.transmit_serial_batch(bits[None], 2.5,
+                                                  rng=rng)),
+        ]
+        for scalar, batched in pairs:
+            wf = scalar(np.random.default_rng(5))
+            block = batched(np.random.default_rng(5))
+            assert wf.dt == block.dt and wf.t0 == block.t0
+            assert np.array_equal(wf.values, block.values[0])
 
 
 class TestBatchedCacheComposition:

@@ -95,6 +95,26 @@ class TestLTIChannel:
         np.testing.assert_array_equal(out.values, wf.values)
         assert out.t0 == wf.t0 + 10.0
 
+    def test_empty_record_passes_cleanly(self):
+        import warnings
+
+        from repro.signal.waveform import Waveform
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = LTIChannel(3.0, delay_ps=20.0).apply(
+                Waveform(np.empty(0), t0=5.0))
+        assert len(out) == 0
+        assert out.t0 == 25.0
+
+    def test_ideal_channel_takes_cache_argument(self):
+        from repro.cache import ArtifactCache
+
+        wf = bits_to_waveform([0, 1, 0], 2.5)
+        out = IdealChannel(delay_ps=10.0).apply(wf, cache=ArtifactCache())
+        np.testing.assert_array_equal(out.values, wf.values)
+        assert out.t0 == wf.t0 + 10.0
+
 
 class TestTraces:
     def test_trace_delay_scales_with_length(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, MeasurementError
 from repro.eye import EyeAccumulator, EyeDiagram, measure_eye
 from repro.eye._binning import density_grid, fold_phases
+from repro.signal.analysis import threshold_crossings
 from repro.signal.nrz import bits_to_waveform
 from repro.signal.prbs import prbs_bits
 from repro.signal.waveform import Waveform, WaveformBatch
@@ -95,7 +96,8 @@ class TestAccumulatorEquivalence:
         assert np.array_equal(grid_acc, grid_eye)
         assert np.array_equal(te, te2) and np.array_equal(ve, ve2)
         assert acc.n_samples == eye.n_samples
-        assert acc.n_crossings == eye.n_crossings
+        assert acc.n_crossings == eye.n_crossings == len(
+            threshold_crossings(_window(wf, 2.5), eye.threshold))
 
     @given(chunk=st.integers(37, 4001))
     @settings(max_examples=8, deadline=None)

@@ -47,6 +47,10 @@ class TestFolding:
         with pytest.raises(MeasurementError):
             EyeDiagram.from_waveform(wf, 2.5)
 
+    def test_empty_record_raises_typed_error(self):
+        with pytest.raises(MeasurementError):
+            EyeDiagram.from_waveform(Waveform(np.empty(0)), 2.5)
+
     def test_custom_threshold(self):
         bits = prbs_bits(7, 800)
         wf = bits_to_waveform(bits, 2.5, v_low=1.6, v_high=2.4,

@@ -4,8 +4,11 @@ Each vectorized kernel is validated against a scalar reference that
 reproduces the pre-vectorization implementation:
 
 - NRZ rendering: ``_reference_render_nrz`` (the per-edge window loop
-  with full-tail accumulation) versus ``_kernels.render_nrz``, within
-  ``NRZ_EQUIVALENCE_ATOL`` of the swing (bit-exact at zero rise time).
+  with full-tail accumulation) versus a one-row
+  ``_kernels.render_nrz_batch`` on both its integer-grid path and its
+  general fallback, within ``NRZ_EQUIVALENCE_ATOL`` of the swing
+  (bit-exact at zero rise time). ``render_nrz``, the single-record
+  render kept here, is the bitwise per-row reference for the batch.
 - PRBS generation: ``prbs_bits_scalar`` (the bit-at-a-time Fibonacci
   LFSR, kept public as the golden reference) versus the blockwise
   GF(2) kernel — bit-exact, property-tested across orders, seeds,
@@ -20,6 +23,8 @@ reproduces the pre-vectorization implementation:
   ``_reference_prbs_batch`` stacking the scalar LFSR per seed), and
   ``render_nrz_batch`` rows are bit-identical to ``render_nrz`` on
   both its integer-grid fast path and its general fallback.
+  ``tests/test_batch_equivalence.py`` builds its per-stage
+  references on these ops.
 - The :func:`array_ops` fixture runs the other suites here and in
   ``tests/test_batch_equivalence.py`` twice: once on the production
   kernels (``fused``) and once with the reference ops swapped in
@@ -85,6 +90,60 @@ def _reference_render_nrz(n, t_start, dt, base, swing, times,
         v[i0:i1] += direction * swing * local
         v[i1:] += direction * swing
     return v
+
+
+def render_nrz(n, t_start, dt, base, swing, times, directions,
+               t20_80, shape, tel=None):
+    """Single-record NRZ render: the bitwise per-row reference for
+    ``_kernels.render_nrz_batch``.
+
+    A step baseline built in one ``bincount``/``cumsum`` pass plus
+    one flat gather/scatter over the concatenated edge windows,
+    evaluated through the same edge-profile template as the kernel.
+    """
+    v = np.full(n, base, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) == 0:
+        return v
+    directions = np.asarray(directions, dtype=np.float64)
+    window = _kernels.edge_window(t20_80, dt)
+
+    # Window bounds per edge, truncated exactly as the reference
+    # loop's int() casts did, then clipped to the record.
+    i0 = ((times - window - t_start) / dt).astype(np.int64)
+    i1 = ((times + window - t_start) / dt).astype(np.int64) + 2
+    np.clip(i0, 0, n, out=i0)
+    np.clip(i1, i0, n, out=i1)
+
+    # Saturated tails: every edge adds a +/-swing step from the end
+    # of its window onward.
+    steps = np.bincount(i1, weights=directions * swing,
+                        minlength=n + 1)[:n]
+    v += np.cumsum(steps)
+
+    # In-window contribution, flattened across edges.
+    lengths = i1 - i0
+    total = int(lengths.sum())
+    if total == 0:
+        return v
+    starts = np.cumsum(lengths) - lengths
+    flat = np.repeat(i0 - starts, lengths) + np.arange(total)
+    tau = (t_start + dt * flat) - np.repeat(times, lengths)
+    profile = _kernels._window_profile(tau, t20_80, shape, dt, tel)
+    contrib = np.repeat(directions * swing, lengths) * profile
+    v += np.bincount(flat, weights=contrib, minlength=n)
+    return v
+
+
+def _render_row(n, t_start, dt, base, swing, times, directions,
+                t20_80, shape):
+    """One record through the production kernel as a one-row batch."""
+    times = np.asarray(times, dtype=np.float64)
+    return _kernels.render_nrz_batch(
+        1, n, t_start, dt, base=np.array([base]), swing=swing,
+        times=times, directions=directions,
+        rows=np.zeros(len(times), dtype=np.int64), t20_80=t20_80,
+        shape=shape)[0]
 
 
 def _reference_sosfilt_batch(values, order, wn, n_imp):
@@ -175,7 +234,7 @@ def _reference_render_nrz_batch(n_rows, n, t_start, dt, base, swing,
     rows = np.asarray(rows)
     out = np.empty((n_rows, n), dtype=np.float64)
     for r in range(n_rows):
-        out[r] = _kernels.render_nrz(
+        out[r] = render_nrz(
             n, t_start, dt, base[r], swing[r], times[rows == r],
             directions[rows == r], t20_80, shape, tel=tel)
     return out
@@ -359,28 +418,44 @@ def _reference_empirical_bathtub(dev, unit_interval, n_points=101):
 
 @pytest.mark.usefixtures("array_ops")
 class TestNRZRenderEquivalence:
-    @pytest.mark.parametrize("shape", list(EdgeShape))
-    @pytest.mark.parametrize("t20_80", [0.0, 1.0, 30.0, 72.0, 120.0])
-    def test_matches_reference_loop(self, shape, t20_80):
+    """A one-row ``render_nrz_batch`` against the per-edge reference
+    loop and the single-record reference render."""
+
+    @staticmethod
+    def _check_one_row(shape, t20_80, jitter):
         rng = np.random.default_rng(12)
         enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4,
                          t20_80=t20_80, shape=shape)
         bits = rng.integers(0, 2, 400)
         bits[0] = 1
         times, directions, _ = enc.edge_times_and_directions(bits)
-        times = times + rng.normal(0.0, 3.0, len(times))
+        times = times + rng.normal(0.0, jitter, len(times))
         ui = enc.unit_interval
         n = int(round((len(bits) * ui + 2 * ui) / enc.dt)) + 1
         swing = enc.v_high - enc.v_low
         base = enc.v_low + swing * float(bits[0])
-        ref = _reference_render_nrz(n, -ui, enc.dt, base, swing,
-                                    times, directions, t20_80, shape)
-        got = _kernels.render_nrz(n, -ui, enc.dt, base, swing,
-                                  times, directions, t20_80, shape)
+        args = (n, -ui, enc.dt, base, swing, times, directions, t20_80,
+                shape)
+        got = _render_row(*args)
+        assert np.array_equal(got, render_nrz(*args))
+        ref = _reference_render_nrz(*args)
         err = np.max(np.abs(got - ref)) / swing
         assert err <= _kernels.NRZ_EQUIVALENCE_ATOL
         if t20_80 == 0.0:
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", list(EdgeShape))
+    @pytest.mark.parametrize("t20_80", [0.0, 1.0, 30.0, 72.0, 120.0])
+    def test_matches_reference_loop(self, shape, t20_80):
+        """Jittered edges: the general fallback."""
+        self._check_one_row(shape, t20_80, jitter=3.0)
+
+    @pytest.mark.parametrize("shape", list(EdgeShape))
+    @pytest.mark.parametrize("t20_80", [0.0, 1.0, 30.0, 72.0, 120.0])
+    def test_integer_grid_matches_reference_loop(self, shape, t20_80):
+        """Clean edges on whole picoseconds: the grouped-profile
+        path."""
+        self._check_one_row(shape, t20_80, jitter=0.0)
 
     def test_encode_end_to_end_with_jitter(self):
         """Full encode path (edges + jitter model) stays within the
@@ -402,7 +477,7 @@ class TestNRZRenderEquivalence:
             <= _kernels.NRZ_EQUIVALENCE_ATOL
 
     def test_no_edges_is_flat(self):
-        got = _kernels.render_nrz(
+        got = _render_row(
             50, 0.0, 1.0, base=0.3, swing=0.8,
             times=np.empty(0), directions=np.empty(0),
             t20_80=50.0, shape=EdgeShape.ERF)
@@ -413,11 +488,11 @@ class TestNRZRenderEquivalence:
         before the first sample shifts the whole record by its step."""
         ref_args = dict(n=100, t_start=0.0, dt=1.0, base=0.0,
                         swing=1.0, t20_80=5.0, shape=EdgeShape.ERF)
-        early = _kernels.render_nrz(
+        early = _render_row(
             times=np.array([-500.0]), directions=np.array([1.0]),
             **ref_args)
         assert np.allclose(early, 1.0)
-        late = _kernels.render_nrz(
+        late = _render_row(
             times=np.array([5000.0]), directions=np.array([1.0]),
             **ref_args)
         assert np.allclose(late, 0.0)

@@ -83,11 +83,13 @@ keep their APIs and delegate. Each kernel carries an explicit
 equivalence contract against its scalar reference, enforced by
 `tests/test_kernels_equivalence.py`:
 
-- **NRZ rendering** (`_kernels.render_nrz`): O(samples +
-  edges x window) — a step baseline built via `bincount`/`cumsum`
-  plus window-local edge contributions. Edge profiles come from an
-  LRU template cache keyed `(shape, t20_80, dt)`, oversampled so
-  linear interpolation of per-edge sub-sample jitter stays within
+- **NRZ rendering** (`_kernels.render_nrz_batch`): O(samples +
+  edges x window) over a whole `(channels, samples)` block — a step
+  baseline built via `bincount`/`cumsum` plus window-local edge
+  contributions; `NRZEncoder.encode` renders a one-row block. Edge
+  profiles come from an LRU template cache keyed
+  `(shape, t20_80, dt)`, oversampled so linear interpolation of
+  per-edge sub-sample jitter stays within
   `_kernels.NRZ_EQUIVALENCE_ATOL` (1e-5 of the swing) of direct
   per-edge profile evaluation; zero rise time is bit-exact, and
   `EdgeShape.LINEAR` bypasses the template for the exact ramp.
@@ -207,56 +209,70 @@ stage entry points mirror their scalar names — `NRZEncoder
 `PECLTransmitter.transmit_serial_batch`, and `OpticalTestBed
 .transmit_slot_batch`.
 
-**Equivalence contract** (golden-tested against the kept
-per-channel loops in `tests/test_batch_equivalence.py`):
+There is one signal path. The scalar entry points `NRZEncoder
+.encode`, `LTIChannel.apply`, `EyeDiagram.from_waveform`,
+`EyeAccumulator.update` (fed `Waveform` chunks), `OutputBuffer
+.drive`, and `PECLTransmitter.transmit_serial` are the one-row case:
+each keeps its signature, input validation, and cache key, and runs
+its record as a one-row batch through the same code. Only the
+crosstalk and WDM demux dict paths stay separate, as the references
+their batched forms are pinned to.
+
+**Equivalence contract** (golden-tested in
+`tests/test_batch_equivalence.py` against independent per-stage
+references that do not call the batched code):
 
 - *Bit-identical per row*: NRZ rendering (disjoint per-row
   `bincount` ranges preserve each row's accumulation order), LTI
   filtering (`sosfilt` over `axis=-1` runs the identical recurrence
   per row), eye folding with `merge=False`, accumulator density
   grids and crossing counts under any chunking x any batching, and
-  the WDM mux.
+  the WDM mux. A scalar call equals row 0 of its one-row batch call
+  bitwise, jittered renders included, for the same RNG seed.
 - *Tolerance-pinned*: stages that replace sequential per-pair adds
   with one matrix product reorder float additions — crosstalk
   mixing within `repro.channel.crosstalk.XTALK_EQUIVALENCE_RTOL`
   (1e-9, atol 1e-12) and the WDM demux within
   `repro.optics.wdm.WDM_EQUIVALENCE_RTOL` (1e-12, atol 1e-15).
-- *Statistically equivalent*: jittered renders draw offsets once
-  over all rows' concatenated edges, so RNG consumption order
-  differs from the per-channel loop.
+- *Statistically equivalent*: jittered renders of several rows draw
+  offsets once over all rows' concatenated edges, so RNG
+  consumption order differs from a loop of scalar calls.
 
 Caching composes per row with byte-identical keys: a batched stage
 keys each row with the *same* digest formula as its scalar
 counterpart, so warm entries flow between the two paths in both
-directions, only missing rows are computed (as a sub-batch), and
-`tests/test_batch_equivalence.py` pins the digest literals. The
-speed floor lives in `benchmarks/test_bench_scaling_terabit.py
-::test_batched_array_throughput`: the batched pipeline is >= 5x
-faster than the per-channel loop on a 64-channel, 10 Gbps array
-(per-channel overhead — filter design, edge-template setup, fold
-bookkeeping — is paid once per block instead of once per channel).
+directions, only missing rows are computed (as a sub-batch, through
+`repro.cache.get_or_compute_rows`), and
+`tests/test_batch_equivalence.py` pins the digest literals.
+`benchmarks/test_bench_scaling_terabit.py
+::test_batched_array_throughput` holds the batched 64-channel,
+10 Gbps pipeline at >= 3x a loop of scalar calls: the loop runs the
+same kernels and memoized setup, so what it pays extra is per-call
+overhead.
 """
 
 ARRAY_KERNELS = """\
 ## Array kernels
 
-The batched hot loops — NRZ edge rendering, batch Bessel filtering,
+The hot loops — NRZ edge rendering, batch Bessel filtering,
 crosstalk mixing, eye folding, density binning, blockwise PRBS — are
 one kernel set in `repro.signal._kernels`, called directly by
 `NRZEncoder.encode_batch`, `LTIChannel.apply_batch`,
 `CrosstalkMatrix.apply_batch`, `EyeDiagram.from_batch`,
-`EyeAccumulator.update`, and `prbs_bits` / `prbs_bits_batch`. There
-is nothing to select or configure. The contract:
+`EyeAccumulator.update`, and `prbs_bits` / `prbs_bits_batch`. Every
+kernel takes a `(channels, samples)` block; the scalar entry points
+pass a one-row block. There is nothing to select or configure. The
+contract:
 
 - **Bit-identical to the reference ops.** The golden suites keep a
   plain reference op beside each kernel
-  (`tests/test_kernels_equivalence.py`: `_reference_sosfilt_batch`
-  designs its filter per call, `_reference_coupling_mix`,
-  `_reference_eye_fold` diffs an int8 mask,
-  `_reference_density_bin` goes through `histogramdd`,
+  (`tests/test_kernels_equivalence.py`: `render_nrz` renders one
+  record, `_reference_sosfilt_batch` designs its filter per call,
+  `_reference_coupling_mix`, `_reference_eye_fold` diffs an int8
+  mask, `_reference_density_bin` goes through `histogramdd`,
   `_reference_prbs_batch` stacks the scalar LFSR per seed) and hold
-  each kernel to bitwise equality with it. Batched rows stay
-  bit-identical to the scalar entry points
+  each kernel to bitwise equality with it. Batched rows and scalar
+  calls are held to per-stage references built on those ops
   (`tests/test_batch_equivalence.py`).
 - **Integer-grid fast render, general fallback.** When edge
   instants, `dt`, and the record origin all sit on whole
@@ -266,7 +282,7 @@ is nothing to select or configure. The contract:
   take the general flattened render. Both produce the same bits.
 - **Memoized setup.** Bessel designs (with their measured group
   delay) and crosstalk coupling-weight matrices are built once per
-  configuration, not once per block.
+  configuration, not once per block or per call.
 - **Cache keys sit above the kernels.** Keys come from configs and
   input bits or waveform tokens, never from kernel output.
 
