@@ -51,6 +51,18 @@ def test_eye_fold_throughput(benchmark):
     assert eye.n_crossings > 1000
 
 
+def test_eye_metrics_throughput(benchmark):
+    """Measure the 1.6 M-sample eye that the fold bench folds."""
+    bits = prbs_bits(7, 4000)
+    encoder = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+    wf = encoder.encode(bits, rng=np.random.default_rng(2))
+    eye = EyeDiagram.from_waveform(wf, 2.5)
+
+    metrics = benchmark(lambda: measure_eye(eye))
+    assert metrics.n_crossings > 1000
+    assert 0.0 < metrics.eye_opening_ui <= 1.0
+
+
 def test_prbs_generation_throughput(benchmark):
     """Generate 100 kbit of PRBS-23."""
     def gen():

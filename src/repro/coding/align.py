@@ -49,6 +49,13 @@ def _window_codes(bits: np.ndarray) -> np.ndarray:
     return (windows << shifts).sum(axis=-1).astype(np.uint16)
 
 
+def _comma_sightings(bits: np.ndarray) -> np.ndarray:
+    """Bit index of every comma window in *bits*, at any phase."""
+    codes = _window_codes(bits)
+    return np.flatnonzero((codes == COMMA_CODES[0])
+                          | (codes == COMMA_CODES[1]))
+
+
 class BitSlipAligner:
     """Comma hunter over a serial bit stream.
 
@@ -76,9 +83,7 @@ class BitSlipAligner:
         phase. Returns ``None`` when no comma aligns.
         """
         bits = np.asarray(bits)
-        codes = _window_codes(bits[start:])
-        is_comma = (codes == COMMA_CODES[0]) | (codes == COMMA_CODES[1])
-        hits = np.flatnonzero(is_comma)
+        hits = _comma_sightings(bits[start:])
         if len(hits) == 0:
             return None
         if self.confirm > 1:
@@ -91,7 +96,8 @@ class BitSlipAligner:
             else:
                 return None
         first = int(hits[0])
-        polarity = -1 if codes[first] == COMMA_CODES[0] else +1
+        code = _window_codes(bits[start + first:start + first + SYMBOL_BITS])
+        polarity = -1 if code[0] == COMMA_CODES[0] else +1
         self.slips += first % SYMBOL_BITS
         return Alignment(position=start + first,
                          slip=first % SYMBOL_BITS,

@@ -26,7 +26,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.coding.align import Alignment, BitSlipAligner
+from repro.coding.align import (
+    Alignment, BitSlipAligner, _comma_sightings,
+)
 from repro.coding.code8b10b import (
     COMMA, SYMBOL_BITS, decode_stream, encode_stream,
 )
@@ -287,7 +289,8 @@ class LinkCodec:
         lock state machine gates payload extraction, and a
         violation burst sends the whole pipeline back to the hunt —
         re-alignment included — exactly as a hardware receiver
-        would. *n_bytes* optionally truncates the recovered payload
+        would. Until the framing locks, a comma at a new phase
+        re-frames the stream. *n_bytes* optionally truncates the recovered payload
         (the transmit-side frame length, when known).
         """
         bits = (np.asarray(bits).astype(np.uint8) & 1)
@@ -299,6 +302,7 @@ class LinkCodec:
             loss_violations=self.loss_violations,
         )
         aligner = BitSlipAligner(confirm=1)
+        sightings = _comma_sightings(bits)
         payload_symbols: List[np.ndarray] = []
         pos = 0
         while pos + SYMBOL_BITS <= len(bits):
@@ -314,8 +318,28 @@ class LinkCodec:
                                     rd=alignment.polarity)
             commas = decoded.k & (decoded.data == COMMA) \
                 & ~decoded.violations
+            # The first comma at another phase. Garbage ahead of the
+            # preamble can spell a comma that straddles into the
+            # line; until the framing locks, a later comma at a new
+            # phase re-frames the stream, as a hardware aligner
+            # does, so a false sighting cannot hold it off the real
+            # boundary.
+            later = sightings[sightings > alignment.position]
+            off_phase = later[(later - alignment.position)
+                              % SYMBOL_BITS != 0]
+            reframe_at = int(off_phase[0]) if len(off_phase) else None
             resume_at = None
             for s in range(n_sym):
+                if reframe_at is not None and not sm.locked \
+                        and alignment.position \
+                        + (s + 1) * SYMBOL_BITS > reframe_at:
+                    # Symbols from here on overlap the new framing:
+                    # drop the partial word and hunt from the comma.
+                    stats.discarded_bits += reframe_at \
+                        - alignment.position - s * SYMBOL_BITS
+                    sm.restart_hunt()
+                    resume_at = reframe_at
+                    break
                 state = sm.step(bool(commas[s]),
                                 bool(decoded.violations[s]))
                 stats.code_violations += int(decoded.violations[s])

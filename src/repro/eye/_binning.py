@@ -22,10 +22,11 @@ def fold_phases(offset: float, dt: float, n: int,
     On a uniform grid the phase sequence is periodic whenever the
     unit interval is an exact integer multiple of the sample spacing
     (it is at every paper rate: 400/250/200/125 ps on a 1 ps grid).
-    In that case one period is computed and tiled — the tiled values
-    can differ from the direct ``np.mod`` by ~1 ulp, which moves no
-    physical measurement. Non-commensurate grids fall back to the
-    direct computation.
+    In that case (decided by :func:`fold_period`, which also tells
+    readers of the fold its period) one period is computed and
+    tiled — the tiled values can differ from the direct ``np.mod``
+    by ~1 ulp, which moves no physical measurement. Non-commensurate
+    grids fall back to the direct computation.
 
     Parameters
     ----------
@@ -46,10 +47,9 @@ def fold_phases(offset: float, dt: float, n: int,
     """
     if n <= 0:
         return np.empty(0, dtype=np.float64)
-    k = ui / dt
-    k_int = int(round(k))
-    if k_int >= 1 and abs(k - k_int) < 1e-9 and k_int < n:
-        tile = np.mod(offset + dt * np.arange(k_int), ui)
+    period = fold_period(dt, n, ui)
+    if period is not None:
+        tile = np.mod(offset + dt * np.arange(period), ui)
         # mod of a value ~ulp below a period boundary can round up to
         # exactly ui; fold it back so the [0, ui) contract holds.
         tile[tile >= ui] -= ui
@@ -57,6 +57,24 @@ def fold_phases(offset: float, dt: float, n: int,
     phases = np.mod(offset + dt * np.arange(n), ui)
     phases[phases >= ui] -= ui
     return phases
+
+
+def fold_period(dt: float, n: int, ui: float) -> Optional[int]:
+    """Samples per period of the tiled fold, or None when it does not tile.
+
+    :func:`fold_phases` tiles when the unit interval is an exact
+    integer multiple ``k`` of the sample spacing and the record holds
+    more than ``k`` samples. Its phases then repeat bit for bit:
+    ``phases[i] == phases[i % k]``. Readers of a fold that know ``k``
+    (:meth:`repro.eye.diagram.EyeDiagram.samples_near_phase`) can
+    evaluate a phase window once per period instead of once per
+    sample.
+    """
+    k = ui / dt
+    k_int = int(round(k))
+    if k_int >= 1 and abs(k - k_int) < 1e-9 and k_int < n:
+        return k_int
+    return None
 
 
 def density_grid(phases: np.ndarray, voltages: np.ndarray, ui: float,

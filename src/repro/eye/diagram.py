@@ -34,6 +34,15 @@ class EyeDiagram:
         The crossing threshold voltage used.
     """
 
+    #: Samples per period of the tiled phase fold
+    #: (:func:`repro.eye._binning.fold_period`); the per-row folds of
+    #: :meth:`from_batch` and :meth:`from_waveform` are stamped with
+    #: it. None (the class default) means no known period: every
+    #: diagram built by the constructor, every merged fold, and every
+    #: diagram unpickled from a cache written before the stamp
+    #: existed.
+    _period: Optional[int] = None
+
     def __init__(self, phases: np.ndarray, voltages: np.ndarray,
                  unit_interval: float, crossing_phases: np.ndarray,
                  threshold: float):
@@ -60,7 +69,8 @@ class EyeDiagram:
         record and sample phases come from
         :func:`repro.eye._binning.fold_phases` (tiled, not an O(n)
         ``mod``, whenever the UI is commensurate with the sample
-        grid).
+        grid). A tiled fold carries its period, so
+        :meth:`samples_near_phase` reads one period of phases.
 
         Parameters
         ----------
@@ -156,9 +166,10 @@ class EyeDiagram:
                                         t_first_bit, discard_ui,
                                         registry, False)
             # Own the voltages: a view would keep the sub-batch alive.
-            return [cls(eye.phases, eye.voltages.copy(),
-                        eye.unit_interval, eye.crossing_phases,
-                        eye.threshold) for eye in eyes]
+            return [cls._stamped(eye.phases, eye.voltages.copy(),
+                                 eye.unit_interval, eye.crossing_phases,
+                                 eye.threshold, eye._period)
+                    for eye in eyes]
 
         return _cache.get_or_compute_rows(store, keys, fold)
 
@@ -167,7 +178,7 @@ class EyeDiagram:
                          threshold: Optional[float],
                          t_first_bit: float, discard_ui: int,
                          registry, merge: bool):
-        from repro.eye._binning import fold_phases
+        from repro.eye._binning import fold_period, fold_phases
 
         tel = telemetry.resolve(registry)
         with tel.span("eye.fold_batch"):
@@ -221,10 +232,21 @@ class EyeDiagram:
             counts = np.bincount(rows, minlength=batch.n_channels)
             parts = np.split(crossing_phases,
                              np.cumsum(counts)[:-1])
+            period = fold_period(dt, values.shape[1], ui)
             return [
-                cls(phases, values[c], ui, parts[c], float(thr[c]))
+                cls._stamped(phases, values[c], ui, parts[c],
+                             float(thr[c]), period)
                 for c in range(batch.n_channels)
             ]
+
+    @classmethod
+    def _stamped(cls, phases, voltages, unit_interval, crossing_phases,
+                 threshold, period: Optional[int]) -> "EyeDiagram":
+        """A diagram whose *phases* repeat every *period* samples."""
+        eye = cls(phases, voltages, unit_interval, crossing_phases,
+                  threshold)
+        eye._period = period
+        return eye
 
     @property
     def n_samples(self) -> int:
@@ -236,12 +258,13 @@ class EyeDiagram:
         """Number of folded threshold crossings."""
         return len(self.crossing_phases)
 
-    def crossing_deviations(self) -> np.ndarray:
-        """Crossing-time deviations (ps) about the circular mean.
+    def _mean_crossing_phase(self) -> float:
+        """Circular mean of the crossing phases, ps in [-UI/2, UI/2].
 
-        Folds wrap-around: a crossing nominally at phase 0 can fold
-        to just under one UI. Deviations are computed circularly so
-        both tails land on the same cluster.
+        Raises
+        ------
+        MeasurementError
+            If the eye has no threshold crossings.
         """
         if self.n_crossings == 0:
             raise MeasurementError("eye has no threshold crossings")
@@ -249,30 +272,64 @@ class EyeDiagram:
         angles = 2.0 * np.pi * self.crossing_phases / ui
         mean_angle = np.arctan2(np.mean(np.sin(angles)),
                                 np.mean(np.cos(angles)))
-        mean_phase = (mean_angle / (2.0 * np.pi)) * ui
-        dev = self.crossing_phases - mean_phase
-        dev = np.mod(dev + ui / 2.0, ui) - ui / 2.0
-        return dev
+        return (mean_angle / (2.0 * np.pi)) * ui
+
+    def crossing_deviations(self) -> np.ndarray:
+        """Crossing-time deviations (ps) about the circular mean.
+
+        Folds wrap-around: a crossing nominally at phase 0 can fold
+        to just under one UI. Deviations are computed circularly so
+        both tails land on the same cluster.
+
+        Raises
+        ------
+        MeasurementError
+            If the eye has no threshold crossings.
+        """
+        ui = self.unit_interval
+        dev = self.crossing_phases - self._mean_crossing_phase()
+        return np.mod(dev + ui / 2.0, ui) - ui / 2.0
 
     def crossover_phase(self) -> float:
-        """Mean crossover position in ps within [0, UI)."""
-        dev = self.crossing_deviations()
-        # Reconstruct the circular mean used by crossing_deviations.
+        """Mean crossover position in ps within [0, UI).
+
+        Raises
+        ------
+        MeasurementError
+            If the eye has no threshold crossings.
+        """
         ui = self.unit_interval
-        angles = 2.0 * np.pi * self.crossing_phases / ui
-        mean_angle = np.arctan2(np.mean(np.sin(angles)),
-                                np.mean(np.cos(angles)))
-        return float(np.mod((mean_angle / (2.0 * np.pi)) * ui, ui))
+        return float(np.mod(self._mean_crossing_phase(), ui))
 
     def samples_near_phase(self, phase: float,
                            half_window: float) -> np.ndarray:
         """Voltages sampled within +/- *half_window* ps of *phase*.
 
-        The window is circular in the UI.
+        The window is circular in the UI. The samples come back in
+        record order: exactly ``voltages[mask]`` for the mask
+        ``|mod(phases - phase + UI/2, UI) - UI/2| <= half_window``.
+
+        A fold stamped with its period *k* (the per-row diagrams of
+        :meth:`from_waveform` and :meth:`from_batch` whenever the
+        fold tiles) evaluates that mask on the first *k* phases only,
+        then gathers the selected columns from a ``(periods, k)``
+        view of the voltages plus the partial period at the end.
+        Tiled phases repeat bit for bit, so the samples and their
+        order are the same, without O(n) temporaries. Any other
+        diagram evaluates the mask over every sample.
         """
         ui = self.unit_interval
-        d = np.mod(self.phases - phase + ui / 2.0, ui) - ui / 2.0
-        return self.voltages[np.abs(d) <= half_window]
+        k = self._period
+        phases = self.phases if k is None else self.phases[:k]
+        d = np.mod(phases - phase + ui / 2.0, ui) - ui / 2.0
+        near = np.abs(d) <= half_window
+        if k is None:
+            return self.voltages[near]
+        cols = np.flatnonzero(near)
+        n_full = len(self.voltages) // k
+        body = self.voltages[:n_full * k].reshape(n_full, k)[:, cols]
+        tail = self.voltages[n_full * k:]
+        return np.concatenate((body.ravel(), tail[cols[cols < len(tail)]]))
 
     def histogram2d(self, n_time_bins: int = 64,
                     n_volt_bins: int = 64) -> Tuple[np.ndarray, np.ndarray,

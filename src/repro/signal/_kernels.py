@@ -15,15 +15,24 @@ signal, channel, and eye layers. Every kernel works on a
     The per-edge full-tail accumulation of the original
     implementation (each transition did ``v[i1:] += direction *
     swing``, making the render quadratic in the edge count) is
-    replaced by a step-level baseline built once from the edge step
-    deltas via ``bincount``/``cumsum``, plus a window-local
+    replaced by a step-level baseline plus a window-local
     contribution evaluated through a cached, oversampled
-    edge-profile template. On an integer time grid (edge instants,
-    ``dt``, and record origin on whole picoseconds: every
-    jitter-free paper configuration) the per-edge window profiles
-    collapse into a handful of distinct rows, evaluated once and
-    gathered per edge. Any other grid takes the general flattened
-    render.
+    edge-profile template, and no temporary spans the whole record.
+    The baseline sums the edge steps of each distinct step bin,
+    takes a per-row running sum of those sums, and fills the runs
+    between step bins with one ``repeat``. The window terms are
+    added in blocks of about ``_RENDER_BLOCK`` window samples, cut
+    only at window gaps: where every earlier window ends before
+    every later one starts. Both stay bit-identical to one
+    full-length ``bincount``/``cumsum`` and one whole-record
+    ``bincount``: a bin with no step adds ``+0.0``, which leaves a
+    running sum unchanged, and every bin sums all of its window
+    terms, in edge order, inside one block. On an integer time grid
+    (edge instants, ``dt``, and record origin on whole picoseconds:
+    every jitter-free paper configuration) the per-edge window
+    profiles collapse into a handful of distinct rows, evaluated
+    once and gathered per edge. Any other grid takes the general
+    flattened render.
 
 ``edge_template``
     The template cache. Templates are keyed on
@@ -90,6 +99,11 @@ _MAX_OVERSAMPLE = 4096
 _TEMPLATE_POINTS_PER_T2080 = 256
 
 _TEMPLATE_CACHE_MAX = 32
+
+#: Window samples per block of :func:`render_nrz_batch`'s in-window
+#: pass: small enough that a block's temporaries stay in cache, large
+#: enough that the per-block overhead stays small.
+_RENDER_BLOCK = 16384
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,19 +247,29 @@ def render_nrz_batch(n_channels: int, n: int, t_start: float, dt: float,
     """Render a ``(channels, samples)`` block of NRZ waveforms.
 
     Every channel's edges are flattened into one set of arrays and
-    rendered through a single ``bincount``/``cumsum``/scatter pass,
-    sharing one edge template across all rows. Per-row bin ranges
-    are disjoint and edges arrive in row-major order, so each row's
-    accumulation order is that of a single-record render — each row
-    is *bit-identical* to rendering that channel alone (tested
-    against the single-record reference render in
-    ``tests/test_kernels_equivalence.py``).
+    rendered together, sharing one edge template across all rows.
+    Each row is *bit-identical* to rendering that channel alone
+    (tested against the single-record reference render in
+    ``tests/test_kernels_equivalence.py``), and no temporary spans
+    the whole record:
 
-    On an integer time grid the in-window contributions take the
-    grouped-profile fast path (:func:`_add_windows_grouped`);
-    otherwise (jittered edges, fractional ``dt``) the general
-    flattened render (:func:`_add_windows_flat`). Both produce the
-    same per-bin float sums.
+    - The step baseline (:func:`_step_baseline`) sums the edge steps
+      of each distinct step bin in edge order, takes a per-row
+      running sum of those sums and fills each run of
+      ``base + running sum`` with one ``repeat``. Those are the
+      values a full-length ``bincount``/``cumsum`` produces, since
+      adding a zero bin leaves a running sum unchanged.
+    - The in-window terms are added in blocks of about
+      ``_RENDER_BLOCK`` window samples (:func:`_window_blocks`),
+      cut only where no bin gets terms from both sides of the cut.
+      Every bin then sums all of its terms, in edge order, inside
+      one block, exactly as one whole-record ``bincount`` would.
+
+    On an integer time grid each block takes the grouped-profile
+    body (:func:`_add_windows_grouped`); otherwise (jittered edges,
+    fractional ``dt``) the general flattened body
+    (:func:`_add_windows_flat`). Both produce the same per-bin float
+    sums.
 
     Parameters
     ----------
@@ -264,12 +288,9 @@ def render_nrz_batch(n_channels: int, n: int, t_start: float, dt: float,
         Optional telemetry registry for template-cache counters.
     """
     base = np.asarray(base, dtype=np.float64)
-    v = np.empty((n_channels, n), dtype=np.float64)
-    if v.size:
-        v[:] = base[:, None]
     times = np.asarray(times, dtype=np.float64)
     if len(times) == 0 or n == 0:
-        return v
+        return np.repeat(base, n).reshape(n_channels, n)
     directions = np.asarray(directions, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
     swing_row = np.broadcast_to(
@@ -281,31 +302,102 @@ def render_nrz_batch(n_channels: int, n: int, t_start: float, dt: float,
     i1r = ((times + window - t_start) / dt).astype(np.int64) + 2
     i0 = np.clip(i0r, 0, n)
     i1 = np.clip(i1r, i0, n)
+    v = _step_baseline(n, base, edge_amp, rows, i1)
 
-    # Saturated tails, all rows at once: every edge adds a +/-swing
-    # step from the end of its window onward. Row r owns bins
-    # [r*(n+1), (r+1)*(n+1)) so the per-row weight sums match a
-    # single-record bincount exactly.
-    steps = np.bincount(rows * (n + 1) + i1, weights=edge_amp,
-                        minlength=n_channels * (n + 1))
-    v += np.cumsum(steps.reshape(n_channels, n + 1)[:, :n], axis=1)
-
+    # Flat bins of the clipped windows: row r owns [r*n, (r+1)*n).
+    start = rows * n + i0
+    end = rows * n + i1
     if (dt == np.rint(dt) and t_start == np.rint(t_start)
             and bool(np.all(times == np.rint(times)))):
-        _add_windows_grouped(v, t_start, dt, times, edge_amp, rows,
-                             i0r, i1r, t20_80, shape, tel)
+        prof, gid = _profile_groups(t_start, dt, times, i0r, i1r,
+                                    t20_80, shape, tel)
+        for a, b, lo, hi in _window_blocks(start, end, i1 - i0):
+            _add_windows_grouped(v, lo, hi, edge_amp[a:b], rows[a:b],
+                                 i0r[a:b], i1r[a:b], prof, gid[a:b])
     else:
-        _add_windows_flat(v, t_start, dt, times, edge_amp, rows,
-                          i0, i1, t20_80, shape, tel)
+        for a, b, lo, hi in _window_blocks(start, end, i1 - i0):
+            _add_windows_flat(v, lo, hi, t_start, dt, times[a:b],
+                              edge_amp[a:b], rows[a:b], i0[a:b],
+                              i1[a:b], t20_80, shape, tel)
     return v
 
 
-def _add_windows_flat(v, t_start, dt, times, edge_amp, rows, i0, i1,
-                      t20_80, shape, tel) -> None:
-    """Add every edge's in-window contribution to *v* in place.
+def _step_baseline(n: int, base: np.ndarray, edge_amp: np.ndarray,
+                   rows: np.ndarray, i1: np.ndarray) -> np.ndarray:
+    """The ``(channels, n)`` block of *base* plus the saturated tails.
 
-    The general path: one flat gather/scatter over the concatenated
-    (clipped) edge windows of every row.
+    Every edge adds its ``+/-swing`` step from the end of its window
+    (bin ``i1``, ``n`` meaning past the record) onward. The steps of
+    each distinct bin are summed in edge order, the per-row running
+    sums of those sums give the level of each run between step bins,
+    and one ``repeat`` fills the runs. Each sample equals ``base``
+    plus the ``cumsum`` of a full-length per-row ``bincount`` of the
+    steps: a bin with no step adds ``+0.0``, which leaves a running
+    sum unchanged (no sum starting from ``+0.0`` is ``-0.0``).
+    """
+    n_channels = len(base)
+    # Row r owns keys [r*(n+1), (r+1)*(n+1)).
+    uniq, inv = np.unique(rows * (n + 1) + i1, return_inverse=True)
+    sums = np.bincount(inv, weights=edge_amp)
+    urow, ubin = np.divmod(uniq, n + 1)
+    first = np.searchsorted(urow, np.arange(n_channels))
+    pos = np.arange(len(uniq)) - first[urow]
+    # At most n + 1 step bins per row: never larger than the
+    # full-length block of steps this replaces.
+    padded = np.zeros((n_channels, int(pos.max()) + 1))
+    padded[urow, pos] = sums
+    running = np.cumsum(padded, axis=1)[urow, pos]
+    # Runs in row-major order: each row's leading run at its base
+    # level, then one run per distinct step bin of that row.
+    lead = first + np.arange(n_channels)
+    step = np.arange(len(uniq)) + urow + 1
+    levels = np.empty(n_channels + len(uniq))
+    levels[lead] = base + 0.0
+    levels[step] = base[urow] + running
+    run_start = np.empty(n_channels + len(uniq), dtype=np.int64)
+    run_start[lead] = np.arange(n_channels) * n
+    run_start[step] = urow * n + ubin
+    counts = np.diff(run_start, append=n_channels * n)
+    return np.repeat(levels, counts).reshape(n_channels, n)
+
+
+def _window_blocks(start: np.ndarray, end: np.ndarray,
+                   lengths: np.ndarray):
+    """Blocks ``(a, b, lo, hi)`` of about ``_RENDER_BLOCK`` samples.
+
+    Edge *e* covers the *lengths[e]* flat bins ``[start[e],
+    end[e])``. A block is the edge range ``[a, b)``, and every bin
+    its edges cover lies in ``[lo, hi)``: *lo* is the lowest start
+    bin it holds, *hi* the highest end bin. A cut before edge *e* is
+    legal when the largest end bin of the edges before it is at most
+    the smallest start bin of the edges from it on, so no bin gets
+    terms from both sides. This holds for any edge order, including
+    jitter that swaps edges in time; a rule that compared only
+    neighbouring edges would not. Each block ends at the first legal
+    cut holding at least ``_RENDER_BLOCK`` samples (a window run
+    with no legal cut becomes one large block).
+    """
+    n_edges = len(start)
+    done = np.concatenate(([0], np.cumsum(lengths)))
+    legal = np.flatnonzero(
+        np.maximum.accumulate(end)[:-1]
+        <= np.minimum.accumulate(start[::-1])[::-1][1:]) + 1
+    at_cut = done[legal]
+    a = 0
+    while a < n_edges:
+        k = int(np.searchsorted(at_cut, done[a] + _RENDER_BLOCK))
+        b = int(legal[k]) if k < len(legal) else n_edges
+        yield a, b, int(start[a:b].min()), int(end[a:b].max())
+        a = b
+
+
+def _add_windows_flat(v, lo, hi, t_start, dt, times, edge_amp, rows,
+                      i0, i1, t20_80, shape, tel) -> None:
+    """Add one block of edges' in-window terms to *v* in place.
+
+    The general path: one flat gather/scatter over the block's
+    concatenated (clipped) edge windows, whose flat bins
+    (``row * n + sample``) all lie in ``[lo, hi)``.
     """
     n_channels, n = v.shape
     lengths = i1 - i0
@@ -317,26 +409,25 @@ def _add_windows_flat(v, t_start, dt, times, edge_amp, rows, i0, i1,
     tau = (t_start + dt * flat) - np.repeat(times, lengths)
     profile = _window_profile(tau, t20_80, shape, dt, tel)
     contrib = np.repeat(edge_amp, lengths) * profile
-    # One row (every scalar render) needs no per-row bin offset.
-    bins = flat if n_channels == 1 \
-        else np.repeat(rows, lengths) * n + flat
-    v += np.bincount(bins, weights=contrib,
-                     minlength=n_channels * n).reshape(n_channels, n)
+    # Bins relative to the block; one row (every scalar render) needs
+    # no per-row offset.
+    if n_channels == 1:
+        flat -= lo
+    else:
+        flat += np.repeat(rows * n - lo, lengths)
+    v.reshape(-1)[lo:hi] += np.bincount(flat, weights=contrib,
+                                        minlength=hi - lo)
 
 
-def _add_windows_grouped(v, t_start, dt, times, edge_amp, rows, i0r,
-                         i1r, t20_80, shape, tel) -> None:
-    """:func:`_add_windows_flat` for an integer time grid.
+def _profile_groups(t_start, dt, times, i0r, i1r, t20_80, shape, tel):
+    """``(prof, gid)``: the distinct window profiles of an integer grid.
 
     Every edge's first in-window offset is then an exact integer, so
     edges whose unclipped windows share (first offset, length) share
-    one profile row: the rows are evaluated once and gathered per
-    edge instead of evaluating the profile over every window sample.
-    Clipped and padded elements go to a discard bin, so every real
-    bin accumulates the same terms in the same (edge-major) order as
-    the flat path and its float sum is bit-identical.
+    one profile row: ``prof[gid[e], :i1r[e] - i0r[e]]`` is edge *e*'s
+    profile, evaluated once per group instead of over every window
+    sample. Rows are zero-padded to the longest window.
     """
-    n_channels, n = v.shape
     first_tau = (t_start + dt * i0r) - times
     lengths_raw = i1r - i0r
     l_max = int(lengths_raw.max())
@@ -350,14 +441,29 @@ def _add_windows_grouped(v, t_start, dt, times, edge_amp, rows, i0r,
         lg = int(lengths_raw[e])
         taus = first_tau[e] + dt * np.arange(lg, dtype=np.float64)
         prof[g, :lg] = _window_profile(taus, t20_80, shape, dt, tel)
+    return prof, gid
+
+
+def _add_windows_grouped(v, lo, hi, edge_amp, rows, i0r, i1r, prof,
+                         gid) -> None:
+    """:func:`_add_windows_flat` for an integer time grid.
+
+    Each edge's window terms are its amplitude times its group's
+    profile row (:func:`_profile_groups`), gathered per edge.
+    Clipped and padded elements go to a discard bin, so every real
+    bin accumulates the same terms in the same (edge-major) order as
+    the flat path and its float sum is bit-identical.
+    """
+    n = v.shape[1]
+    l_max = prof.shape[1]
     col = np.arange(l_max, dtype=np.int64)
-    trash = n_channels * n
-    bins = (rows * n + i0r)[:, None] + col
+    trash = hi - lo
+    bins = (rows * n + i0r - lo)[:, None] + col
     # Even a signed zero from a clipped element could flip a -0.0 sum.
     # Only edges at the record boundary or in a short-length group
     # have such elements, so mask just those rows.
     partial = np.flatnonzero((i0r < 0) | (i1r > n)
-                             | (lengths_raw < l_max))
+                             | (i1r - i0r < l_max))
     if len(partial):
         samp = i0r[partial, None] + col
         stop = np.minimum(i1r[partial], n)
@@ -367,7 +473,7 @@ def _add_windows_grouped(v, t_start, dt, times, edge_amp, rows, i0r,
     weights = edge_amp[:, None] * prof[gid]
     acc = np.bincount(bins.ravel(), weights=weights.ravel(),
                       minlength=trash + 1)
-    v += acc[:trash].reshape(n_channels, n)
+    v.reshape(-1)[lo:hi] += acc[:trash]
 
 
 # -- LTI filtering ----------------------------------------------------------

@@ -7,7 +7,7 @@ the framed encode.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.coding import (
     COMMA, SYMBOL_BITS,
@@ -115,6 +115,7 @@ class TestBitSlipRecovery:
 
     @given(slip=st.integers(0, SYMBOL_BITS - 1),
            seed=st.integers(0, 2**16))
+    @example(slip=1, seed=24758)  # garbage spells a straddling comma
     @settings(max_examples=40, deadline=None)
     def test_frame_decodes_after_slip(self, slip, seed):
         rng = np.random.default_rng(seed)
@@ -126,6 +127,23 @@ class TestBitSlipRecovery:
         ]).astype(np.uint8) if slip else line
         frame = codec.decode_frame(slipped, n_bytes=len(payload))
         assert frame.stats.locked
+        np.testing.assert_array_equal(frame.payload, payload)
+
+    def test_false_comma_in_leading_garbage_reframes(self):
+        # Garbage equal to the first nine bits of the opening comma
+        # spells a comma with the line's first bit, one bit ahead of
+        # the real boundary; the hunt must move to the real commas.
+        payload = np.arange(32, dtype=np.uint8)
+        codec = LinkCodec()
+        line = codec.encode_frame(payload)
+        garbage = line[:SYMBOL_BITS - 1]
+        slipped = np.concatenate([garbage, line]).astype(np.uint8)
+        assert BitSlipAligner().find(slipped).position == 0
+        frame = codec.decode_frame(slipped, n_bytes=len(payload))
+        assert frame.stats.locked
+        assert frame.stats.code_violations == 0
+        assert frame.stats.commas == codec.n_preamble
+        assert frame.stats.discarded_bits == len(garbage)
         np.testing.assert_array_equal(frame.payload, payload)
 
 

@@ -9,6 +9,9 @@ reproduces the pre-vectorization implementation:
   general fallback, within ``NRZ_EQUIVALENCE_ATOL`` of the swing
   (bit-exact at zero rise time). ``render_nrz``, the single-record
   render kept here, is the bitwise per-row reference for the batch.
+  It evaluates edge profiles through ``_reference_window_profile``,
+  a copy of the template lerp that ``_kernels._window_profile`` is
+  pinned to bitwise.
 - PRBS generation: ``prbs_bits_scalar`` (the bit-at-a-time Fibonacci
   LFSR, kept public as the golden reference) versus the blockwise
   GF(2) kernel — bit-exact, property-tested across orders, seeds,
@@ -22,7 +25,8 @@ reproduces the pre-vectorization implementation:
   ``_reference_density_bin`` through ``histogramdd``,
   ``_reference_prbs_batch`` stacking the scalar LFSR per seed), and
   ``render_nrz_batch`` rows are bit-identical to ``render_nrz`` on
-  both its integer-grid fast path and its general fallback.
+  both its integer-grid fast path and its general fallback, also
+  with the in-window block size forced down to 64 samples.
   ``tests/test_batch_equivalence.py`` builds its per-stage
   references on these ops.
 - The :func:`array_ops` fixture runs the other suites here and in
@@ -92,14 +96,34 @@ def _reference_render_nrz(n, t_start, dt, base, swing, times,
     return v
 
 
+def _reference_window_profile(tau, t20_80, shape, dt, tel=None):
+    """The normalized edge profile at offsets *tau*: a unit step at
+    zero rise time, the exact ramp for ``LINEAR``, else a linear
+    interpolation (lerp) into the cached edge template with the
+    index clipped to the template ends. A copy of the formula, so the
+    renders built on it do not move with ``_kernels._window_profile``
+    (pinned bitwise to this copy)."""
+    if t20_80 == 0.0:
+        return (tau >= 0.0).astype(np.float64)
+    if shape is EdgeShape.LINEAR:
+        return np.clip(tau / (t20_80 / 0.6) + 0.5, 0.0, 1.0)
+    tmpl = _kernels.edge_template(shape, t20_80, dt, tel=tel)
+    pos = (tau - tmpl.x0) / tmpl.sub_dt
+    k = pos.astype(np.int64)
+    np.clip(k, 0, len(tmpl.values) - 2, out=k)
+    frac = pos - k
+    lo = tmpl.values[k]
+    return lo + frac * (tmpl.values[k + 1] - lo)
+
+
 def render_nrz(n, t_start, dt, base, swing, times, directions,
                t20_80, shape, tel=None):
     """Single-record NRZ render: the bitwise per-row reference for
     ``_kernels.render_nrz_batch``.
 
-    A step baseline built in one ``bincount``/``cumsum`` pass plus
-    one flat gather/scatter over the concatenated edge windows,
-    evaluated through the same edge-profile template as the kernel.
+    A step baseline built in one full-length ``bincount``/``cumsum``
+    pass plus one flat gather/scatter over the concatenated edge
+    windows, evaluated through :func:`_reference_window_profile`.
     """
     v = np.full(n, base, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
@@ -129,7 +153,7 @@ def render_nrz(n, t_start, dt, base, swing, times, directions,
     starts = np.cumsum(lengths) - lengths
     flat = np.repeat(i0 - starts, lengths) + np.arange(total)
     tau = (t_start + dt * flat) - np.repeat(times, lengths)
-    profile = _kernels._window_profile(tau, t20_80, shape, dt, tel)
+    profile = _reference_window_profile(tau, t20_80, shape, dt, tel)
     contrib = np.repeat(directions * swing, lengths) * profile
     v += np.bincount(flat, weights=contrib, minlength=n)
     return v
@@ -416,6 +440,35 @@ def _reference_empirical_bathtub(dev, unit_interval, n_points=101):
 # ---------------------------------------------------------------------------
 
 
+class TestWindowProfile:
+    """``_kernels._window_profile`` is bit-identical to the copy of its
+    formula kept here, so the reference renders built on that copy
+    check the production lerp rather than repeat it."""
+
+    @pytest.mark.parametrize("shape", list(EdgeShape))
+    @pytest.mark.parametrize("t20_80", [0.0, 1.0, 30.0, 72.0, 120.0])
+    @pytest.mark.parametrize("dt", [0.8, 1.0, 25.0])
+    def test_matches_reference_lerp(self, shape, t20_80, dt):
+        tmpl = _kernels.edge_template(shape, t20_80, dt)
+        x_last = tmpl.x0 + tmpl.sub_dt * (len(tmpl.values) - 1)
+        # Past both template ends, so the index clip is exercised.
+        reach = max(-tmpl.x0, x_last) + 3.0 * dt
+        rng = np.random.default_rng(int(t20_80 * 10 + dt * 100))
+        tau = np.concatenate((
+            np.linspace(-reach, reach, 5001),
+            rng.uniform(-reach, reach, 2000),
+            [0.0, tmpl.x0, x_last, -tmpl.window, tmpl.window],
+        ))
+        if t20_80 > 0.0 and shape is not EdgeShape.LINEAR:
+            pos = (tau - tmpl.x0) / tmpl.sub_dt
+            assert pos.min() < 0.0
+            assert pos.max() > len(tmpl.values) - 1
+        got = _kernels._window_profile(tau, t20_80, shape, dt)
+        assert got.dtype == np.float64
+        assert np.array_equal(
+            got, _reference_window_profile(tau, t20_80, shape, dt))
+
+
 @pytest.mark.usefixtures("array_ops")
 class TestNRZRenderEquivalence:
     """A one-row ``render_nrz_batch`` against the per-edge reference
@@ -634,6 +687,57 @@ class TestPRBSEquivalence:
 # ---------------------------------------------------------------------------
 
 
+def _jittered_edges(n_rows, n_edges, ui, sigma, seed, grid):
+    """Row-major alternating edges every *ui* ps, jittered by *sigma*
+    ps rms: rounded to whole picoseconds when *grid*, else moved off
+    the integer grid. ``(times, directions, rows)``."""
+    rng = np.random.default_rng(seed)
+    times = np.tile(ui * np.arange(1, n_edges + 1), n_rows) \
+        + rng.normal(0.0, sigma, n_rows * n_edges)
+    times = np.rint(times) if grid else times + 0.37
+    directions = np.tile(np.where(np.arange(n_edges) % 2, -1.0, 1.0),
+                         n_rows)
+    return times, directions, np.repeat(np.arange(n_rows), n_edges)
+
+
+def _render_block_case(case, grid):
+    """``(n_rows, n, t_start, dt, times, directions, rows)`` of one
+    block-boundary case; 1 ps samples and 30 ps edges give 242-sample
+    windows unless stated."""
+    if case == "clock":
+        # Edges every 100 ps: each window overlaps its neighbours, so
+        # no cut is legal inside a row.
+        return (3, 3300, 0.0, 1.0) \
+            + _jittered_edges(3, 30, 100.0, 0.0, 0, grid)
+    if case == "out-of-order":
+        # sigma > UI/2: edges arrive out of time order, so an edge's
+        # window can overlap the window of an edge several before it.
+        return (2, 12500, -200.0, 1.0) \
+            + _jittered_edges(2, 40, 300.0, 200.0, 4, grid)
+    if case == "outside-record":
+        # Windows wholly before t_start, straddling it, inside,
+        # straddling the record end, and wholly past it.
+        one = np.array([-900.0, -300.0, -60.0, 400.0, 1100.0, 1950.0,
+                        2060.0, 2500.0, 9000.0])
+        times = np.concatenate((one, one + 150.0))
+        if not grid:
+            times = times + 0.37
+        directions = np.tile(np.where(np.arange(9) % 2, -1.0, 1.0), 2)
+        return (2, 2000, 0.0, 1.0, times, directions,
+                np.repeat([0, 1], 9))
+    # multi-row: 25 ps samples give ~11-sample windows and rows of at
+    # most two edges, so one 64-sample block holds several rows.
+    counts = [2, 0, 1, 2, 1, 0, 2, 1, 1, 2, 0, 1]
+    rng = np.random.default_rng(7)
+    times = np.concatenate([np.sort(rng.integers(-150, 1100, c))
+                            for c in counts]).astype(np.float64)
+    if not grid:
+        times = times + 0.37
+    directions = np.concatenate([[1.0, -1.0][:c] for c in counts])
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return len(counts), 40, -100.0, 25.0, times, directions, rows
+
+
 def _edge_block(n_rows, n_bits, ui, seed):
     """Row-major ``(times, directions, rows, base)`` for a random bit
     block, edges on multiples of *ui*."""
@@ -693,6 +797,76 @@ class TestBatchKernelEquivalence:
         ref = _reference_render_nrz_batch(
             5, n, -100.0, dt, base, 0.8, times, directions, rows,
             t20_80, shape)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("grid", [True, False],
+                             ids=["integer-grid", "off-grid"])
+    @pytest.mark.parametrize("case", [
+        "clock", "out-of-order", "outside-record", "multi-row"])
+    def test_render_blocks_match_reference(self, monkeypatch, case,
+                                           grid):
+        """With ~64-sample in-window blocks every cut falls where no
+        bin gets terms from both sides, for any edge order."""
+        monkeypatch.setattr(_kernels, "_RENDER_BLOCK", 64)
+        body, other = ("_add_windows_grouped", "_add_windows_flat")
+        if not grid:
+            body, other = other, body
+        calls = []
+        per_block = getattr(_kernels, body)
+        monkeypatch.setattr(_kernels, body,
+                            lambda *a: calls.append(1) or per_block(*a))
+
+        def forbidden(*args):  # pragma: no cover
+            raise AssertionError(f"{case} took {other}")
+
+        monkeypatch.setattr(_kernels, other, forbidden)
+        n_rows, n, t_start, dt, times, directions, rows = \
+            _render_block_case(case, grid)
+        base = np.linspace(-0.4, 0.4, n_rows)
+        got = _kernels.render_nrz_batch(
+            n_rows, n, t_start, dt, base=base, swing=0.8, times=times,
+            directions=directions, rows=rows, t20_80=30.0,
+            shape=EdgeShape.ERF)
+        ref = _reference_render_nrz_batch(
+            n_rows, n, t_start, dt, base, 0.8, times, directions, rows,
+            30.0, EdgeShape.ERF)
+        assert np.array_equal(got, ref)
+        if case == "clock":
+            assert len(calls) == n_rows  # one block per row
+        elif case == "multi-row":
+            assert len(calls) < len(np.unique(rows))
+        else:
+            assert len(calls) > n_rows
+
+    @given(
+        n_rows=st.integers(1, 4),
+        n_edges=st.integers(0, 24),
+        ui=st.sampled_from([60.0, 100.0, 300.0]),
+        sigma_ui=st.sampled_from([0.0, 0.2, 0.7]),
+        grid=st.booleans(),
+        block=st.sampled_from([1, 17, 64, 700]),
+        shape=st.sampled_from(list(EdgeShape)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_render_blocks_property(self, n_rows, n_edges, ui, sigma_ui,
+                                    grid, block, shape, seed):
+        """Any block size, edge spacing, jitter (up to 0.7 UI rms, so
+        out of order) and row count: bit-identical to the per-row
+        reference render, on both in-window paths."""
+        times, directions, rows = _jittered_edges(
+            n_rows, n_edges, ui, sigma_ui * ui, seed, grid)
+        n = int((n_edges + 1) * ui)
+        base = np.full(n_rows, -0.4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_RENDER_BLOCK", block)
+            got = _kernels.render_nrz_batch(
+                n_rows, n, -ui / 2.0, 1.0, base=base, swing=0.8,
+                times=times, directions=directions, rows=rows,
+                t20_80=30.0, shape=shape)
+        ref = _reference_render_nrz_batch(
+            n_rows, n, -ui / 2.0, 1.0, base, 0.8, times, directions,
+            rows, 30.0, shape)
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("order,wn,n_imp", [

@@ -85,15 +85,36 @@ equivalence contract against its scalar reference, enforced by
 
 - **NRZ rendering** (`_kernels.render_nrz_batch`): O(samples +
   edges x window) over a whole `(channels, samples)` block — a step
-  baseline built via `bincount`/`cumsum` plus window-local edge
-  contributions; `NRZEncoder.encode` renders a one-row block. Edge
+  baseline plus window-local edge contributions, with no temporary
+  spanning the whole record; `NRZEncoder.encode` renders a one-row
+  block. The baseline is run-length: the steps of each distinct
+  step bin are summed in edge order, a per-row running sum of those
+  sums gives each run's level, and one `repeat` fills the runs. The
+  window terms are added in blocks of about 16 K window samples,
+  cut only at window gaps (every earlier window ends before every
+  later one starts, whatever the edge order). Both are
+  bit-identical to one full-length `bincount`/`cumsum` and one
+  whole-record `bincount`: an empty bin adds `+0.0`, which leaves a
+  running sum unchanged, and every bin sums all of its window
+  terms, in edge order, inside one block. Edge
   profiles come from an LRU template cache keyed
   `(shape, t20_80, dt)`, oversampled so linear interpolation of
   per-edge sub-sample jitter stays within
   `_kernels.NRZ_EQUIVALENCE_ATOL` (1e-5 of the swing) of direct
   per-edge profile evaluation; zero rise time is bit-exact, and
   `EdgeShape.LINEAR` bypasses the template for the exact ramp.
-  Cache traffic is observable as `nrz.template_cache.{hits,misses}`.
+  Cache traffic is observable as `nrz.template_cache.{hits,misses}`
+  (one lookup per profile group on an integer grid, one per block
+  otherwise).
+- **Eye-center reads** (`EyeDiagram.samples_near_phase`): a fold
+  whose phases tile (`_binning.fold_period`, the same test
+  `fold_phases` uses) carries its period, so the phase window is
+  evaluated on one period and the selected columns are gathered
+  from a `(periods, period)` view of the voltages plus the partial
+  period at the end — the same samples, in the same order, as the
+  full-record mask. Diagrams with no known period (built by the
+  constructor, merged folds, older cache entries) take the
+  full-record mask.
 - **PRBS generation** (`_kernels.prbs_bits_blockwise`): blockwise
   GF(2) matrix products (8192 bits per application), *bit-exact*
   against the scalar Fibonacci LFSR (kept public as
@@ -267,7 +288,9 @@ contract:
 - **Bit-identical to the reference ops.** The golden suites keep a
   plain reference op beside each kernel
   (`tests/test_kernels_equivalence.py`: `render_nrz` renders one
-  record, `_reference_sosfilt_batch` designs its filter per call,
+  record through `_reference_window_profile`, a copy of the
+  template lerp that `_window_profile` is pinned to bitwise,
+  `_reference_sosfilt_batch` designs its filter per call,
   `_reference_coupling_mix`, `_reference_eye_fold` diffs an int8
   mask, `_reference_density_bin` goes through `histogramdd`,
   `_reference_prbs_batch` stacks the scalar LFSR per seed) and hold
@@ -280,6 +303,15 @@ contract:
   `render_nrz_batch` evaluates each distinct edge-window profile
   once and gathers it per edge. Jittered edges or a fractional grid
   take the general flattened render. Both produce the same bits.
+- **No record-length temporaries in the render.** The step baseline
+  is filled run by run from the distinct step bins, and the window
+  terms go in cache-sized blocks cut only where no bin gets terms
+  from both sides, so each bin's float sum is the one a
+  whole-record `bincount` gives. The golden suite holds the blocked
+  render to the per-row reference with the block size forced down
+  to 64 samples (clock patterns with no legal cut, edges jittered
+  out of time order, edges outside the record, blocks spanning
+  several rows).
 - **Memoized setup.** Bessel designs (with their measured group
   delay) and crosstalk coupling-weight matrices are built once per
   configuration, not once per block or per call.
