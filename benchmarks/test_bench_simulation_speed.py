@@ -16,6 +16,7 @@ from repro.channel.lti import LTIChannel
 from repro.eye.diagram import EyeDiagram
 from repro.eye.metrics import measure_eye
 from repro.host.shmoo import ShmooRunner
+from repro.parallel import Executor
 from repro.signal.jitter import JitterBudget
 from repro.signal.nrz import NRZEncoder
 from repro.signal.prbs import prbs_bits
@@ -72,6 +73,27 @@ def test_prbs_generation_throughput(benchmark):
     assert len(bits) == 100_000
 
 
+def _opening(rate, channel):
+    """Clean eye opening (UI) of a 256-bit PRBS-7 pipeline at *rate*."""
+    bits = prbs_bits(7, 256)
+    enc = NRZEncoder(rate, v_low=-0.4, v_high=0.4, t20_80=90.0)
+    wf = channel.apply(enc.encode(bits))
+    return measure_eye(EyeDiagram.from_waveform(wf, rate)).eye_opening_ui
+
+
+def _opening_cell(channel):
+    """A shmoo cell judging the rate's opening, memoized in the active
+    cache, against the margin axis."""
+    def cell(rate, margin):
+        store = artifact_cache.active()
+        key = artifact_cache.canonical_digest("bench.opening",
+                                              float(rate))
+        return store.get_or_compute(
+            key, lambda: _opening(rate, channel)) >= margin
+
+    return cell
+
+
 def test_shmoo_sweep_throughput(benchmark):
     """Warm-cache 32x32 margin shmoo over a full signal pipeline.
 
@@ -85,26 +107,10 @@ def test_shmoo_sweep_throughput(benchmark):
     """
     rates = list(np.linspace(1.0, 3.0, 32))
     margins = list(np.linspace(0.05, 0.95, 32))
-    channel = LTIChannel(bandwidth_ghz=2.2)
-
-    def cell(rate, margin):
-        store = artifact_cache.active()
-        key = artifact_cache.canonical_digest("bench.opening",
-                                              float(rate))
-
-        def compute():
-            bits = prbs_bits(7, 256)
-            enc = NRZEncoder(rate, v_low=-0.4, v_high=0.4,
-                             t20_80=90.0)
-            wf = channel.apply(enc.encode(bits))
-            return measure_eye(
-                EyeDiagram.from_waveform(wf, rate)).eye_opening_ui
-
-        return store.get_or_compute(key, compute) >= margin
-
     cache = ArtifactCache()
-    runner = ShmooRunner(cell, x_name="rate (Gbps)",
-                         y_name="margin (UI)", cache=cache)
+    runner = ShmooRunner(_opening_cell(LTIChannel(bandwidth_ghz=2.2)),
+                         x_name="rate (Gbps)", y_name="margin (UI)",
+                         cache=cache)
 
     t0 = time.perf_counter()
     cold = runner.run(rates, margins)
@@ -124,6 +130,38 @@ def test_shmoo_sweep_throughput(benchmark):
     assert frac <= 0.25, f"adaptive evaluated {frac:.0%} of cells"
 
 
+def test_threaded_sweep_cold_throughput(benchmark):
+    """Cold 32x32 margin shmoo on two threads, a fresh cache per round.
+
+    Both thread shards ask for every rate's opening, and at most of
+    these rates the UI is not a whole number of 1 ps samples, so
+    this times single-flight cache lookups (each stage artifact is
+    computed once, the other shard waits for it) and eye folds read
+    without a phase per sample. The margins straddle the openings,
+    so the pass boundary crosses the grid; it must equal the serial
+    uncached grid, and no key may be stored twice.
+    """
+    rates = list(np.linspace(1.0, 3.0, 32))
+    margins = list(np.linspace(0.9982, 0.9998, 32))
+    channel = LTIChannel(bandwidth_ghz=2.2)
+    caches = []
+
+    def fresh_runner():
+        caches.append(ArtifactCache())
+        return (ShmooRunner(_opening_cell(channel), x_name="rate (Gbps)",
+                            y_name="margin (UI)", cache=caches[-1]),), {}
+
+    with Executor("thread", max_workers=2) as executor:
+        result = benchmark.pedantic(
+            lambda runner: runner.run(rates, margins, executor=executor),
+            setup=fresh_runner, rounds=3, iterations=1)
+
+    openings = [_opening(rate, channel) for rate in rates]
+    expected = [[o >= m for o in openings] for m in margins]
+    assert np.array_equal(result.passes, expected)
+    assert 0 < int(result.passes.sum()) < result.passes.size
+    for cache in caches:
+        assert cache.stores == len(cache)
 def test_batched_pipeline_throughput(benchmark):
     """Render + filter + couple + fold a 64-channel block end to end.
 

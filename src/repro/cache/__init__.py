@@ -30,9 +30,17 @@ Sharing across ``repro.parallel`` process shards: give the cache a
 ``disk_path`` — workers receive an empty clone pointing at the same
 directory and read each other's atomically-published entries.
 
+Concurrent thread shards share one cache without duplicating work:
+:meth:`ArtifactCache.get_or_compute` is single-flight, so the first
+thread to miss a key computes it and the others asking for that key
+meanwhile wait for its result (``misses`` equals the number of
+computes).
+
 Cache traffic is observable through ``repro.telemetry`` as
-``cache.{hits,misses,evictions,stores}`` counters plus the
-``cache.bytes`` gauge, and locally via :meth:`ArtifactCache.stats`.
+``cache.{hits,misses,evictions,stores,waits}`` counters plus the
+``cache.bytes`` gauge, and locally via :meth:`ArtifactCache.stats`;
+``cache.waits`` counts the lookups that waited on another thread's
+compute, i.e. how much of a sweep serialized on in-flight keys.
 
 Correctness contract: a cached pipeline is *bit-identical* to the
 uncached one — stages only consult the cache when their inputs fully

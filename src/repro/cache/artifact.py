@@ -12,6 +12,10 @@ Mutable values (numpy arrays) are copied both into and out of the
 store, so a hit can never alias state a caller later mutates;
 :class:`~repro.signal.waveform.Waveform` instances are externally
 immutable and pass through uncopied (zero-copy hits).
+
+:meth:`ArtifactCache.get_or_compute` is single-flight: the first
+thread to miss a key computes it, and threads asking for that key
+meanwhile wait for its result instead of computing it again.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.errors import ConfigurationError
@@ -50,6 +54,12 @@ def _sizeof(value) -> int:
             return int(value.values.nbytes) + 64
         except AttributeError:
             pass
+    if hasattr(value, "voltages") and hasattr(value, "crossing_phases"):
+        # EyeDiagram-shaped: the arrays it owns. A view's memory
+        # belongs to the array it views (typically a cached
+        # waveform, counted under that waveform's own key).
+        return sum(int(a.nbytes) for a in vars(value).values()
+                   if isinstance(a, np.ndarray) and a.base is None) + 64
     return 64
 
 
@@ -90,8 +100,10 @@ class ArtifactCache:
     registry:
         Optional injected telemetry registry; defaults to the
         module-level active one. Traffic is observable as
-        ``cache.{hits,misses,evictions,stores}`` counters and the
-        ``cache.bytes`` gauge.
+        ``cache.{hits,misses,evictions,stores,waits}`` counters and
+        the ``cache.bytes`` gauge; ``cache.waits`` counts the
+        :meth:`get_or_compute` lookups that waited on another
+        thread's compute of the same key.
     """
 
     #: A real cache memoizes; the :class:`NullCache` twin reports
@@ -120,10 +132,13 @@ class ArtifactCache:
         self.misses = 0
         self.evictions = 0
         self.stores = 0
+        self.waits = 0
         self._entries: "OrderedDict[str, Tuple[Any, int]]" \
             = OrderedDict()
         self._nbytes = 0
         self._lock = threading.RLock()
+        # Key -> (computing thread's ident, event set when it ends).
+        self._flights: Dict[str, Tuple[int, threading.Event]] = {}
 
     # -- pickling (process-backend workers) ----------------------------
 
@@ -150,19 +165,11 @@ class ArtifactCache:
         """``(hit, value)`` for *key*; checks memory, then disk."""
         tel = telemetry.resolve(self.telemetry)
         with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is not _MISSING:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                tel.counter("cache.hits").inc()
-                return True, _copy_out(value[0])
-        if self.disk_path is not None:
-            value = self._disk_read(key)
-            if value is not _MISSING:
-                self._insert(key, value)
-                self.hits += 1
-                tel.counter("cache.hits").inc()
-                return True, _copy_out(value)
+            value = self._memory_hit(key, tel)
+        if value is _MISSING:
+            value = self._disk_hit(key, tel)
+        if value is not _MISSING:
+            return True, value
         self.misses += 1
         tel.counter("cache.misses").inc()
         return False, None
@@ -180,19 +187,75 @@ class ArtifactCache:
     def get_or_compute(self, key: str, compute: Callable[[], Any]):
         """Return the cached value for *key*, computing it on miss.
 
-        The compute callable runs outside the cache lock, so
-        concurrent thread shards memoize without serializing their
-        actual work; a racing duplicate compute is benign (both
-        produce the identical artifact, last write wins).
+        Single-flight: the first thread to miss *key* claims it and
+        runs *compute* outside the cache lock; other threads asking
+        for *key* meanwhile wait for the claim to end and read the
+        stored entry (a hit, counted in :attr:`waits` too), so
+        ``misses`` equals the number of computes. If the compute
+        raises, or its entry is gone by the time a waiter reads it,
+        the waiter claims the key and computes it itself: it gets
+        its own value or its own error, never a missing one. A
+        compute that asks for its own key on the same thread
+        computes it inline. Keys a compute asks for are its inputs'
+        keys, so claims form no cycle between threads.
         """
-        hit, value = self.get(key)
-        if hit:
+        tel = telemetry.resolve(self.telemetry)
+        while True:
+            with self._lock:
+                value = self._memory_hit(key, tel)
+                if value is not _MISSING:
+                    return value
+                me = threading.get_ident()
+                flight = self._flights.get(key)
+                if flight is None:
+                    claim = self._flights[key] = (me, threading.Event())
+                    break
+                if flight[0] == me:
+                    claim = None  # our own compute asks: run inline
+                    break
+                self.waits += 1
+            tel.counter("cache.waits").inc()
+            flight[1].wait()
+        try:
+            value = self._disk_hit(key, tel)
+            if value is not _MISSING:
+                return value
+            self.misses += 1
+            tel.counter("cache.misses").inc()
+            value = compute()
+            self.put(key, value)
             return value
-        value = compute()
-        self.put(key, value)
-        return value
+        finally:
+            if claim is not None:
+                with self._lock:
+                    del self._flights[key]
+                claim[1].set()
 
     # -- bookkeeping ---------------------------------------------------
+
+    def _memory_hit(self, key: str, tel):
+        """A copy of *key*'s in-memory value (counted as a hit), or
+        ``_MISSING``. The caller holds ``_lock``."""
+        entry = self._entries.get(key, _MISSING)
+        if entry is _MISSING:
+            return _MISSING
+        self._entries.move_to_end(key)
+        self.hits += 1
+        tel.counter("cache.hits").inc()
+        return _copy_out(entry[0])
+
+    def _disk_hit(self, key: str, tel):
+        """A copy of *key*'s on-disk value, promoted to memory and
+        counted as a hit, or ``_MISSING``."""
+        if self.disk_path is None:
+            return _MISSING
+        value = self._disk_read(key)
+        if value is _MISSING:
+            return _MISSING
+        self._insert(key, value)
+        self.hits += 1
+        tel.counter("cache.hits").inc()
+        return _copy_out(value)
 
     def _insert(self, key: str, value) -> None:
         size = _sizeof(value)
@@ -276,6 +339,7 @@ class ArtifactCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "stores": self.stores,
+            "waits": self.waits,
             "entries": len(self._entries),
             "bytes": self._nbytes,
         }
@@ -301,6 +365,7 @@ class NullCache:
     misses = 0
     evictions = 0
     stores = 0
+    waits = 0
     nbytes = 0
 
     def get(self, key: str):
@@ -320,7 +385,7 @@ class NullCache:
     def stats(self) -> dict:
         """All-zero counters."""
         return {"hits": 0, "misses": 0, "evictions": 0,
-                "stores": 0, "entries": 0, "bytes": 0}
+                "stores": 0, "waits": 0, "entries": 0, "bytes": 0}
 
     def __len__(self) -> int:
         return 0

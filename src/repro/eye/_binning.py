@@ -26,7 +26,14 @@ def fold_phases(offset: float, dt: float, n: int,
     readers of the fold its period) one period is computed and
     tiled — the tiled values can differ from the direct ``np.mod``
     by ~1 ulp, which moves no physical measurement. Non-commensurate
-    grids fall back to the direct computation.
+    grids fall back to the direct computation, :func:`grid_phases`
+    of every index.
+
+    A fold that keeps only its grid ``(offset, dt)``
+    (:class:`repro.eye.diagram.EyeDiagram`) rebuilds these phases
+    bit for bit from it, and reads any subset of them exactly with
+    :func:`grid_phases` (one period when the fold tiles, the indices
+    near a phase window otherwise).
 
     Parameters
     ----------
@@ -49,12 +56,22 @@ def fold_phases(offset: float, dt: float, n: int,
         return np.empty(0, dtype=np.float64)
     period = fold_period(dt, n, ui)
     if period is not None:
-        tile = np.mod(offset + dt * np.arange(period), ui)
-        # mod of a value ~ulp below a period boundary can round up to
-        # exactly ui; fold it back so the [0, ui) contract holds.
-        tile[tile >= ui] -= ui
-        return np.resize(tile, n)
-    phases = np.mod(offset + dt * np.arange(n), ui)
+        return np.resize(grid_phases(offset, dt, np.arange(period), ui),
+                         n)
+    return grid_phases(offset, dt, np.arange(n), ui)
+
+
+def grid_phases(offset: float, dt: float, index: np.ndarray,
+                ui: float) -> np.ndarray:
+    """Phases of grid samples *index*: ``mod(offset + dt*index, ui)``.
+
+    The elementwise arithmetic of :func:`fold_phases`: at indices
+    below the period of a fold that tiles, and at any index of one
+    that does not, the result equals ``fold_phases`` bit for bit.
+    """
+    phases = np.mod(offset + dt * index, ui)
+    # mod of a value ~ulp below a period boundary can round up to
+    # exactly ui; fold it back so the [0, ui) contract holds.
     phases[phases >= ui] -= ui
     return phases
 
@@ -65,10 +82,10 @@ def fold_period(dt: float, n: int, ui: float) -> Optional[int]:
     :func:`fold_phases` tiles when the unit interval is an exact
     integer multiple ``k`` of the sample spacing and the record holds
     more than ``k`` samples. Its phases then repeat bit for bit:
-    ``phases[i] == phases[i % k]``. Readers of a fold that know ``k``
-    (:meth:`repro.eye.diagram.EyeDiagram.samples_near_phase`) can
-    evaluate a phase window once per period instead of once per
-    sample.
+    ``phases[i] == phases[i % k]``. A reader of a fold stamped with
+    its grid (:meth:`repro.eye.diagram.EyeDiagram.samples_near_phase`)
+    takes ``k`` from the grid and evaluates a phase window once per
+    period instead of once per sample.
     """
     k = ui / dt
     k_int = int(round(k))

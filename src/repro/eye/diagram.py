@@ -20,6 +20,16 @@ from repro._units import unit_interval_ps
 class EyeDiagram:
     """An eye diagram: folded samples plus folded threshold crossings.
 
+    The per-row folds of :meth:`from_batch` and :meth:`from_waveform`
+    keep no phase per sample: each is stamped with its sample grid
+    ``(offset, dt)`` (the first sample's time from the fold origin,
+    and the spacing), which determines every phase. :attr:`phases`
+    builds the array from the grid on first read, and
+    :meth:`samples_near_phase` reads only the phases near its window.
+    Diagrams built by the constructor, merged folds, and diagrams
+    unpickled from a cache written before the stamp existed keep
+    explicit phases.
+
     Parameters
     ----------
     phases:
@@ -34,27 +44,71 @@ class EyeDiagram:
         The crossing threshold voltage used.
     """
 
-    #: Samples per period of the tiled phase fold
-    #: (:func:`repro.eye._binning.fold_period`); the per-row folds of
-    #: :meth:`from_batch` and :meth:`from_waveform` are stamped with
-    #: it. None (the class default) means no known period: every
-    #: diagram built by the constructor, every merged fold, and every
-    #: diagram unpickled from a cache written before the stamp
-    #: existed.
-    _period: Optional[int] = None
+    #: Explicit sample phases; None until first read on a fold that
+    #: is stamped with its grid.
+    _phases: Optional[np.ndarray] = None
+    #: ``(offset, dt)`` of a grid-stamped fold: sample *i* sits at
+    #: ``offset + dt*i`` ps from the fold origin. None means explicit
+    #: phases.
+    _grid: Optional[Tuple[float, float]] = None
 
     def __init__(self, phases: np.ndarray, voltages: np.ndarray,
                  unit_interval: float, crossing_phases: np.ndarray,
                  threshold: float):
         if len(phases) != len(voltages):
             raise MeasurementError("phases and voltages length mismatch")
+        self._set_fields(voltages, unit_interval, crossing_phases,
+                         threshold)
+        self._phases = np.asarray(phases, dtype=np.float64)
+
+    @classmethod
+    def _on_grid(cls, grid: Tuple[float, float], voltages: np.ndarray,
+                 unit_interval: float, crossing_phases: np.ndarray,
+                 threshold: float) -> "EyeDiagram":
+        """A fold stamped with its sample *grid* instead of phases."""
+        eye = cls.__new__(cls)
+        eye._set_fields(voltages, unit_interval, crossing_phases,
+                        threshold)
+        eye._grid = grid
+        return eye
+
+    def _set_fields(self, voltages, unit_interval, crossing_phases,
+                    threshold) -> None:
         if unit_interval <= 0.0:
             raise MeasurementError("unit interval must be positive")
-        self.phases = np.asarray(phases, dtype=np.float64)
         self.voltages = np.asarray(voltages, dtype=np.float64)
         self.unit_interval = float(unit_interval)
         self.crossing_phases = np.asarray(crossing_phases, dtype=np.float64)
         self.threshold = float(threshold)
+
+    def __setstate__(self, state):
+        # Diagrams pickled before phases became a property (an
+        # existing disk cache) hold them as "phases", the newest of
+        # those beside a "_period" stamp: keep them as explicit
+        # phases, read with the full mask.
+        state = dict(state)
+        if "phases" in state:
+            state["_phases"] = state.pop("phases")
+        state.pop("_period", None)
+        self.__dict__.update(state)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """Sample times folded into [0, span_ui) UI, in ps.
+
+        The constructor's array, or for a grid-stamped fold
+        :func:`repro.eye._binning.fold_phases` of its grid (bit for
+        bit the array the fold would have stored), built on first
+        read and kept. Read-only.
+        """
+        phases = self._phases
+        if phases is None:
+            from repro.eye._binning import fold_phases
+
+            offset, dt = self._grid
+            phases = self._phases = fold_phases(
+                offset, dt, len(self.voltages), self.unit_interval)
+        return phases
 
     @classmethod
     def from_waveform(cls, waveform: Waveform, rate_gbps: float,
@@ -66,11 +120,10 @@ class EyeDiagram:
 
         The fold is one row of :meth:`from_batch` and is
         allocation-lean: the analysis window is a no-copy view of the
-        record and sample phases come from
-        :func:`repro.eye._binning.fold_phases` (tiled, not an O(n)
-        ``mod``, whenever the UI is commensurate with the sample
-        grid). A tiled fold carries its period, so
-        :meth:`samples_near_phase` reads one period of phases.
+        record, and the diagram is stamped with its sample grid
+        instead of a phase per sample, so
+        :meth:`samples_near_phase` reads only the phases near its
+        window (one period of them when the fold tiles).
 
         Parameters
         ----------
@@ -166,9 +219,9 @@ class EyeDiagram:
                                         t_first_bit, discard_ui,
                                         registry, False)
             # Own the voltages: a view would keep the sub-batch alive.
-            return [cls._stamped(eye.phases, eye.voltages.copy(),
+            return [cls._on_grid(eye._grid, eye.voltages.copy(),
                                  eye.unit_interval, eye.crossing_phases,
-                                 eye.threshold, eye._period)
+                                 eye.threshold)
                     for eye in eyes]
 
         return _cache.get_or_compute_rows(store, keys, fold)
@@ -178,7 +231,7 @@ class EyeDiagram:
                          threshold: Optional[float],
                          t_first_bit: float, discard_ui: int,
                          registry, merge: bool):
-        from repro.eye._binning import fold_period, fold_phases
+        from repro.eye._binning import fold_phases
 
         tel = telemetry.resolve(registry)
         with tel.span("eye.fold_batch"):
@@ -201,8 +254,7 @@ class EyeDiagram:
                 )
             values = batch.values[:, i0:i1 + 1]
             t0w = batch.t0 + i0 * dt
-            phases = fold_phases(t0w - t_first_bit, dt,
-                                 values.shape[1], ui)
+            offset = t0w - t_first_bit
             if threshold is not None:
                 thr = np.full(batch.n_channels, float(threshold))
             elif merge:
@@ -226,32 +278,23 @@ class EyeDiagram:
             tel.counter("eye.samples_folded").inc(values.size)
             tel.counter("eye.crossings").inc(len(crossing_phases))
             if merge:
+                phases = fold_phases(offset, dt, values.shape[1], ui)
                 return cls(np.tile(phases, batch.n_channels),
                            values.reshape(-1), ui, crossing_phases,
                            float(thr[0]))
             counts = np.bincount(rows, minlength=batch.n_channels)
             parts = np.split(crossing_phases,
                              np.cumsum(counts)[:-1])
-            period = fold_period(dt, values.shape[1], ui)
             return [
-                cls._stamped(phases, values[c], ui, parts[c],
-                             float(thr[c]), period)
+                cls._on_grid((offset, dt), values[c], ui, parts[c],
+                             float(thr[c]))
                 for c in range(batch.n_channels)
             ]
-
-    @classmethod
-    def _stamped(cls, phases, voltages, unit_interval, crossing_phases,
-                 threshold, period: Optional[int]) -> "EyeDiagram":
-        """A diagram whose *phases* repeat every *period* samples."""
-        eye = cls(phases, voltages, unit_interval, crossing_phases,
-                  threshold)
-        eye._period = period
-        return eye
 
     @property
     def n_samples(self) -> int:
         """Number of folded voltage samples."""
-        return len(self.phases)
+        return len(self.voltages)
 
     @property
     def n_crossings(self) -> int:
@@ -309,27 +352,40 @@ class EyeDiagram:
         record order: exactly ``voltages[mask]`` for the mask
         ``|mod(phases - phase + UI/2, UI) - UI/2| <= half_window``.
 
-        A fold stamped with its period *k* (the per-row diagrams of
-        :meth:`from_waveform` and :meth:`from_batch` whenever the
-        fold tiles) evaluates that mask on the first *k* phases only,
-        then gathers the selected columns from a ``(periods, k)``
-        view of the voltages plus the partial period at the end.
-        Tiled phases repeat bit for bit, so the samples and their
-        order are the same, without O(n) temporaries. Any other
-        diagram evaluates the mask over every sample.
+        A grid-stamped fold (the per-row diagrams of
+        :meth:`from_waveform` and :meth:`from_batch`) never builds
+        every phase. When the fold tiles with period *k*
+        (:func:`repro.eye._binning.fold_period`), the mask is
+        evaluated on one period of phases and the selected columns
+        are gathered from a ``(periods, k)`` view of the voltages
+        plus the partial period at the end. Otherwise it is
+        evaluated on the candidate samples of each UI cycle (see
+        :func:`_window_indices`). Either way the phases come from
+        :func:`repro.eye._binning.grid_phases`, bit for bit the
+        fold's own, so the samples and their order are the same.
+        Any other diagram evaluates the mask over every sample.
         """
+        from repro.eye._binning import fold_period, grid_phases
+
         ui = self.unit_interval
-        k = self._period
-        phases = self.phases if k is None else self.phases[:k]
-        d = np.mod(phases - phase + ui / 2.0, ui) - ui / 2.0
-        near = np.abs(d) <= half_window
-        if k is None:
-            return self.voltages[near]
-        cols = np.flatnonzero(near)
-        n_full = len(self.voltages) // k
-        body = self.voltages[:n_full * k].reshape(n_full, k)[:, cols]
-        tail = self.voltages[n_full * k:]
-        return np.concatenate((body.ravel(), tail[cols[cols < len(tail)]]))
+        if self._grid is None:
+            return self.voltages[_near(self.phases, phase, half_window,
+                                       ui)]
+        offset, dt = self._grid
+        n = len(self.voltages)
+        k = fold_period(dt, n, ui)
+        if k is not None:
+            tile = grid_phases(offset, dt, np.arange(k), ui)
+            cols = np.flatnonzero(_near(tile, phase, half_window, ui))
+            n_full = n // k
+            body = self.voltages[:n_full * k].reshape(n_full, k)[:, cols]
+            tail = self.voltages[n_full * k:]
+            return np.concatenate(
+                (body.ravel(), tail[cols[cols < len(tail)]]))
+        index = _window_indices(offset, dt, n, ui, phase, half_window)
+        near = _near(grid_phases(offset, dt, index, ui), phase,
+                     half_window, ui)
+        return self.voltages[index[near]]
 
     def histogram2d(self, n_time_bins: int = 64,
                     n_volt_bins: int = 64) -> Tuple[np.ndarray, np.ndarray,
@@ -346,3 +402,43 @@ class EyeDiagram:
         return density_grid(self.phases, self.voltages,
                             self.unit_interval, n_time_bins,
                             n_volt_bins)
+
+
+def _near(phases: np.ndarray, phase: float, half_window: float,
+          ui: float) -> np.ndarray:
+    """The phase-window mask of :meth:`EyeDiagram.samples_near_phase`."""
+    d = np.mod(phases - phase + ui / 2.0, ui) - ui / 2.0
+    return np.abs(d) <= half_window
+
+
+def _window_indices(offset: float, dt: float, n: int, ui: float,
+                    phase: float, half_window: float) -> np.ndarray:
+    """Ascending sample indices that can fall in a phase window.
+
+    Sample *i* of a fold on the grid ``(offset, dt)`` sits at
+    ``offset + dt*i``. For each UI cycle *m* the candidates are the
+    samples whose time lies within *half_window* of
+    ``phase + m*ui``, widened by one sample at each end: far more
+    than the rounding of the phase arithmetic can move a sample, so
+    every sample the exact mask keeps is among them. Cycles do not
+    share a candidate.
+
+    A window half the UI wide or wider (where the candidates would
+    be most of the record), a negative or non-finite one, and a
+    *phase* more than two UIs from zero (where the mask's own
+    rounding grows with the phase) return every index.
+    """
+    if not (0.0 <= 4.0 * half_window < ui and abs(phase) <= 2.0 * ui):
+        return np.arange(n)
+    reach = half_window + dt
+    cycles = np.arange(np.floor((offset - phase - reach) / ui),
+                       np.ceil((offset + dt * (n - 1) - phase + reach)
+                               / ui) + 1.0)
+    centers = phase + cycles * ui - offset
+    lo = np.clip(np.ceil((centers - half_window) / dt) - 1.0, 0, n)
+    hi = np.clip(np.floor((centers + half_window) / dt) + 2.0, 0, n)
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    lo[1:] = np.maximum(lo[1:], hi[:-1])
+    lengths = np.maximum(hi - lo, 0)
+    first = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(lo - first, lengths)

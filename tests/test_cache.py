@@ -7,6 +7,9 @@ uncached one, across every executor backend a sweep can run on.
 import dataclasses
 import enum
 import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.host.shmoo import ShmooRunner
 from repro.parallel import Executor
 from repro.signal.nrz import NRZEncoder
 from repro.signal.prbs import prbs_bits
+from repro.signal.waveform import Waveform, WaveformBatch
 
 
 class TestCanonicalDigest:
@@ -156,6 +160,181 @@ class TestArtifactCache:
         assert counters["cache.hits"] == 1
         assert counters["cache.misses"] == 1
         assert counters["cache.stores"] == 1
+
+
+    def test_eye_bytes_count_owned_arrays(self):
+        """A cached ``from_batch`` row owns its voltages copy, so the
+        byte budget sees it; a fold that views a waveform's samples
+        costs only its header."""
+        values = np.random.default_rng(0).normal(0.0, 0.3, (4, 100_800))
+        cache = ArtifactCache()
+        eyes = EyeDiagram.from_batch(WaveformBatch(values), 2.5,
+                                     cache=cache)
+        assert all(eye.voltages.base is None for eye in eyes)
+        # Crossing phases are views of the fold's shared array.
+        assert cache.nbytes == sum(eye.voltages.nbytes + 64
+                                   for eye in eyes)
+        assert cache.nbytes > 3_200_000
+        capped = ArtifactCache(max_bytes=2 * eyes[0].voltages.nbytes
+                               + 200)
+        EyeDiagram.from_batch(WaveformBatch(values), 2.5, cache=capped)
+        assert len(capped) == 2 and capped.evictions == 2
+        viewing = ArtifactCache()
+        EyeDiagram.from_waveform(Waveform(values[0]), 2.5, cache=viewing)
+        assert viewing.nbytes == 64
+
+
+def _join_all(targets, timeout=30.0):
+    """Run each target on its own thread; fail if any is still
+    running *timeout* seconds after the start."""
+    threads = [threading.Thread(target=t, daemon=True) for t in targets]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + timeout
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads), "a lookup hung"
+
+
+def _hold_until(cond, timeout=10.0):
+    """Keep a compute in flight until *cond()* holds (or time out)."""
+    deadline = time.monotonic() + timeout
+    while not cond() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+class TestSingleFlight:
+    """Concurrent ``get_or_compute`` calls on one key compute it once."""
+
+    def test_concurrent_misses_compute_once(self):
+        cache = ArtifactCache()
+        n = 8
+        gate = threading.Barrier(n)
+        calls = []
+        results = [None] * n
+
+        def compute():
+            calls.append(1)
+            _hold_until(lambda: cache.waits == n - 1)
+            return object()  # passes through the store uncopied
+
+        def lookup(i):
+            gate.wait(10.0)
+            results[i] = cache.get_or_compute("k", compute)
+
+        with telemetry.use_registry() as reg:
+            _join_all([lambda i=i: lookup(i) for i in range(n)])
+        assert len(calls) == 1
+        assert results[0] is not None
+        assert all(r is results[0] for r in results)
+        assert cache.misses == cache.stores == 1
+        assert cache.waits == n - 1 and cache.hits == n - 1
+        assert cache.stats()["waits"] == n - 1
+        assert reg.to_dict()["counters"]["cache.waits"] == n - 1
+
+    def test_failed_compute_wakes_waiters(self):
+        """Waiters on a compute that raises claim the key themselves:
+        the raising caller sees its error, the rest get a value."""
+        cache = ArtifactCache()
+        n = 6
+        gate = threading.Barrier(n)
+        lock = threading.Lock()
+        calls = []
+        outcomes = [None] * n
+
+        def compute():
+            with lock:
+                calls.append(1)
+                first = len(calls) == 1
+            if first:
+                _hold_until(lambda: cache.waits == n - 1)
+                raise RuntimeError("first compute fails")
+            return 42
+
+        def lookup(i):
+            gate.wait(10.0)
+            try:
+                outcomes[i] = cache.get_or_compute("k", compute)
+            except RuntimeError as exc:
+                outcomes[i] = exc
+
+        _join_all([lambda i=i: lookup(i) for i in range(n)])
+        errors = [o for o in outcomes if isinstance(o, RuntimeError)]
+        assert len(errors) == 1
+        assert str(errors[0]) == "first compute fails"
+        assert sorted(o for o in outcomes if o is not errors[0]) \
+            == [42] * (n - 1)
+        assert len(calls) == 2
+        assert cache.misses == 2 and cache.stores == 1
+        assert cache.get("k") == (True, 42)
+
+    def test_shared_inner_key_computed_once(self):
+        """Two keys whose computes both ask for one inner key."""
+        cache = ArtifactCache()
+        gate = threading.Barrier(2)
+        inner_calls = []
+        results = {}
+
+        def inner():
+            inner_calls.append(1)
+            _hold_until(lambda: cache.waits == 1)
+            return 7
+
+        def lookup(name):
+            gate.wait(10.0)
+            results[name] = cache.get_or_compute(
+                name, lambda: (name, cache.get_or_compute("inner", inner)))
+
+        _join_all([lambda: lookup("a"), lambda: lookup("b")])
+        assert results == {"a": ("a", 7), "b": ("b", 7)}
+        assert len(inner_calls) == 1
+        assert cache.waits == 1
+        assert cache.misses == cache.stores == 3
+
+    def test_compute_asking_for_its_own_key_runs_inline(self):
+        cache = ArtifactCache()
+        result = []
+
+        def compute():
+            return cache.get_or_compute("k", lambda: 1) + 1
+
+        _join_all([lambda: result.append(
+            cache.get_or_compute("k", compute))])
+        assert result == [2]
+        assert cache.waits == 0
+        assert cache.get("k") == (True, 2)
+
+    def test_stress_one_compute_per_key(self):
+        """More threads than cores, a short switch interval: every key
+        is computed exactly once and every lookup is a hit or a
+        compute."""
+        cache = ArtifactCache()
+        n_threads, keys = 8, [f"k{i}" for i in range(40)]
+        lock = threading.Lock()
+        computes = {}
+        results = [None] * n_threads
+
+        def compute(key):
+            with lock:
+                computes[key] = computes.get(key, 0) + 1
+            return key.upper()
+
+        def lookup(i):
+            order = np.random.default_rng(i).permutation(len(keys))
+            results[i] = [cache.get_or_compute(keys[j], lambda j=j:
+                                               compute(keys[j]))
+                          == keys[j].upper() for j in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _join_all([lambda i=i: lookup(i) for i in range(n_threads)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(all(r) for r in results)
+        assert computes == {k: 1 for k in keys}
+        assert cache.misses == cache.stores == len(keys)
+        assert cache.hits + cache.misses == n_threads * len(keys)
 
 
 class TestDiskBacking:

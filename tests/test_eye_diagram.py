@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache
 from repro.errors import MeasurementError
+from repro.eye._binning import fold_period, fold_phases
 from repro.eye.diagram import EyeDiagram
 from repro.signal.jitter import JitterBudget
 from repro.signal.nrz import bits_to_waveform
@@ -131,40 +132,88 @@ def _mask_samples(eye, phase, half_window):
     return eye.voltages[np.abs(d) <= half_window]
 
 
+#: ``(rate Gbps, dt ps, fold period)`` of the fold grids under test:
+#: 2.5 Gbps on a 1 ps grid tiles every 400 samples; 2.3 Gbps on a
+#: 1 ps grid (UI 434.78 ps) and 10 Gbps on a 0.7 ps grid (142.857
+#: samples per UI) never tile.
+_GRIDS = [(2.5, 1.0, 400), (2.3, 1.0, None), (10.0, 0.7, None)]
+
+
 def _folds(n_samples, seed):
-    """``(name, eye, expected period)`` for every way a fold is built,
-    from three noise records of *n_samples* 1 ps samples at 2.5 Gbps
-    (the fold keeps ``n_samples - 800`` samples, period 400)."""
-    values = np.random.default_rng(seed).normal(0.0, 0.3, (3, n_samples))
-    batch = WaveformBatch(values, dt=1.0)
-    store = ArtifactCache()
-    cold = EyeDiagram.from_batch(batch, 2.5, cache=store)
-    warm = EyeDiagram.from_batch(batch, 2.5, cache=store)
-    folds = [("from_waveform",
-              EyeDiagram.from_waveform(Waveform(values[1]), 2.5), 400)]
-    for c in range(3):
-        folds += [
-            (f"from_batch[{c}]", EyeDiagram.from_batch(batch, 2.5)[c],
-             400),
-            (f"cached from_batch[{c}] (miss)", cold[c], 400),
-            (f"cached from_batch[{c}] (hit)", warm[c], 400),
-        ]
-    folds.append(("merged", EyeDiagram.from_batch(batch, 2.5,
-                                                  merge=True), None))
+    """``(name, eye, grid)`` for every way a fold is built, on every
+    grid of :data:`_GRIDS`, from three noise records as many UIs long
+    as *n_samples* 1 ps samples at 2.5 Gbps (on that grid the fold
+    keeps ``n_samples - 800`` samples). *grid* is the expected stamp,
+    ``(offset, dt)``, or None for the merged fold's explicit phases.
+    """
+    rng = np.random.default_rng(seed)
+    folds = []
+    for rate, dt, _ in _GRIDS:
+        ui = 1000.0 / rate
+        values = rng.normal(0.0, 0.3, (3, int(n_samples / 400.0 * ui / dt)))
+        batch = WaveformBatch(values, dt=dt)
+        # The window starts at the first sample past one discarded UI.
+        grid = (np.ceil(ui / dt) * dt, dt)
+        store = ArtifactCache()
+        cold = EyeDiagram.from_batch(batch, rate, cache=store)
+        warm = EyeDiagram.from_batch(batch, rate, cache=store)
+        plain = EyeDiagram.from_batch(batch, rate)
+        tag = f"{rate:g} Gbps/{dt:g} ps"
+        folds.append((f"{tag} from_waveform", EyeDiagram.from_waveform(
+            Waveform(values[1], dt=dt), rate), grid))
+        for c in range(3):
+            folds += [
+                (f"{tag} from_batch[{c}]", plain[c], grid),
+                (f"{tag} cached from_batch[{c}] (miss)", cold[c], grid),
+                (f"{tag} cached from_batch[{c}] (hit)", warm[c], grid),
+            ]
+        folds.append((f"{tag} merged",
+                      EyeDiagram.from_batch(batch, rate, merge=True), None))
     return folds
 
 
 class TestPhaseWindow:
-    """``samples_near_phase`` on a period-stamped fold reads one period
-    of phases, yet returns exactly the full-record mask's samples, in
-    record order."""
+    """``samples_near_phase`` on a grid-stamped fold never builds
+    every phase, yet returns exactly the full-record mask's samples,
+    in record order."""
 
     @pytest.mark.parametrize("n_samples", [2400, 2537],
                              ids=["whole-periods", "partial-period"])
     def test_folds_are_stamped(self, n_samples):
-        for name, eye, period in _folds(n_samples, 1):
-            assert eye._period == period, name
-            assert (eye.n_samples % 400 == 0) == (n_samples == 2400)
+        folds = _folds(n_samples, 1)
+        for name, eye, grid in folds:
+            assert eye._grid == grid, name
+            assert eye.n_samples == len(eye.voltages), name
+            ui = eye.unit_interval
+            eye.samples_near_phase(0.3 * ui, 0.05 * ui)
+            eye.samples_near_phase(0.9 * ui, 0.2 * ui)
+            # Windowed reads build no phase per sample.
+            assert ("_phases" in vars(eye)) == (grid is None), name
+        for name, eye, _ in folds:
+            # The first read of phases builds them and keeps them.
+            assert eye.phases is eye.phases, name
+        _, dt, period = _GRIDS[0]
+        tiled = folds[0][1]
+        assert fold_period(dt, tiled.n_samples, tiled.unit_interval) \
+            == period
+        assert (tiled.n_samples % period == 0) == (n_samples == 2400)
+
+    @pytest.mark.parametrize("n_samples", [2400, 2537],
+                             ids=["whole-periods", "partial-period"])
+    def test_phases_are_fold_phases_of_the_window(self, n_samples):
+        """Bit for bit the array the fold stored before the stamp."""
+        for name, eye, grid in _folds(n_samples, 5):
+            ui = eye.unit_interval
+            if grid is not None:
+                rows = (grid, eye.n_samples)
+                expect = fold_phases(*grid, eye.n_samples, ui)
+            else:
+                # The merged fold follows its grid's rows: their
+                # phases once per channel.
+                expect = np.tile(fold_phases(*rows[0], rows[1], ui), 3)
+            assert eye.phases.dtype == np.float64, name
+            assert np.array_equal(eye.phases.view(np.uint64),
+                                  expect.view(np.uint64)), name
 
     @pytest.mark.parametrize("n_samples", [2400, 2537],
                              ids=["whole-periods", "partial-period"])
@@ -175,16 +224,23 @@ class TestPhaseWindow:
         (-30.0, 40.0),     # outside [0, UI)
         (200.0, 20.0),
         (123.4, 0.0),
+        (10.0, 99.0),      # just under a quarter UI: candidate runs
+        (10.0, 100.0),     # a quarter UI: every sample
         (10.0, 200.0),     # half a UI: every sample
         (10.0, 250.0),
         (300.0, 1e9),
     ])
     def test_matches_full_mask(self, n_samples, phase, half_window):
+        """Phase and window are ps at 400 ps UI, scaled to each
+        fold's UI."""
         for name, eye, _ in _folds(n_samples, 2):
-            got = eye.samples_near_phase(phase, half_window)
+            scale = eye.unit_interval / 400.0
+            got = eye.samples_near_phase(phase * scale,
+                                         half_window * scale)
             assert got.dtype == np.float64
             assert np.array_equal(
-                got, _mask_samples(eye, phase, half_window)), name
+                got, _mask_samples(eye, phase * scale,
+                                   half_window * scale)), name
 
     @given(
         extra=st.integers(0, 799),
@@ -196,29 +252,99 @@ class TestPhaseWindow:
     def test_matches_full_mask_property(self, extra, phase, half_window,
                                         seed):
         for name, eye, _ in _folds(1700 + extra, seed):
+            scale = eye.unit_interval / 400.0
             assert np.array_equal(
-                eye.samples_near_phase(phase, half_window),
-                _mask_samples(eye, phase, half_window)), name
+                eye.samples_near_phase(phase * scale,
+                                       half_window * scale),
+                _mask_samples(eye, phase * scale,
+                              half_window * scale)), name
+
+    @given(
+        rate=st.floats(0.5, 12.0),
+        dt=st.floats(0.5, 25.0),
+        length_ui=st.floats(6.0, 12.0),
+        t0=st.floats(-500.0, 500.0),
+        first_bit_ui=st.floats(-2.0, 1.0),
+        phase_ui=st.floats(-1.0, 2.0),
+        window_ui=st.floats(0.0, 0.75),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_grid_matches_full_mask(self, rate, dt, length_ui, t0,
+                                        first_bit_ui, phase_ui,
+                                        window_ui, seed):
+        """Any rate, sample grid, record start and fold origin."""
+        ui = 1000.0 / rate
+        n = int(length_ui * ui / dt)
+        t_first_bit = t0 + first_bit_ui * ui
+        values = np.random.default_rng(seed).normal(0.0, 0.3, (2, n))
+        eyes = EyeDiagram.from_batch(WaveformBatch(values, dt=dt, t0=t0),
+                                     rate, t_first_bit=t_first_bit)
+        i0 = max(0, int(np.ceil((t_first_bit + ui - t0) / dt)))
+        grid = (t0 + i0 * dt - t_first_bit, dt)
+        for eye in eyes:
+            assert eye._grid == grid
+            got = eye.samples_near_phase(phase_ui * ui, window_ui * ui)
+            assert "_phases" not in vars(eye)
+            assert np.array_equal(
+                got, _mask_samples(eye, phase_ui * ui, window_ui * ui))
+            expect = fold_phases(*grid, eye.n_samples, ui)
+            assert np.array_equal(eye.phases.view(np.uint64),
+                                  expect.view(np.uint64))
 
     def test_constructor_eye_reads_every_sample(self):
-        """Phases with no period: a constructor-built eye must not
+        """Phases with no grid: a constructor-built eye must not
         assume one."""
         rng = np.random.default_rng(3)
         eye = EyeDiagram(rng.uniform(0.0, 400.0, 3000),
                          rng.normal(0.0, 0.3, 3000), 400.0,
                          np.array([1.0]), 0.0)
-        assert eye._period is None
+        assert eye._grid is None
         for phase, half_window in ((0.0, 20.0), (250.0, 35.0)):
             assert np.array_equal(
                 eye.samples_near_phase(phase, half_window),
                 _mask_samples(eye, phase, half_window))
 
-    def test_unstamped_pickle_reads_every_sample(self):
-        """A fold pickled before diagrams carried a period (an
-        existing disk cache) loads with none."""
+    def test_phases_are_read_only(self):
         _, eye, _ = _folds(2537, 4)[0]
-        del eye.__dict__["_period"]
-        old = pickle.loads(pickle.dumps(eye))
-        assert old._period is None
-        assert np.array_equal(old.samples_near_phase(5.0, 30.0),
-                              _mask_samples(old, 5.0, 30.0))
+        with pytest.raises(AttributeError):
+            eye.phases = np.zeros(eye.n_samples)
+
+    def test_unstamped_pickle_reads_every_sample(self):
+        """A fold pickled before diagrams carried a grid (an existing
+        disk cache) loads with explicit phases: the layout with a
+        ``phases`` array and a ``_period`` stamp, and the older one
+        with ``phases`` only."""
+        for name, eye, grid in _folds(2537, 4):
+            state = {"phases": eye.phases.copy(),
+                     "voltages": eye.voltages,
+                     "unit_interval": eye.unit_interval,
+                     "crossing_phases": eye.crossing_phases,
+                     "threshold": eye.threshold}
+            period = None if grid is None else fold_period(
+                grid[1], eye.n_samples, eye.unit_interval)
+            for layout in ({**state, "_period": period}, state):
+                written = EyeDiagram.__new__(EyeDiagram)
+                written.__dict__.update(layout)
+                old = pickle.loads(pickle.dumps(written))
+                assert old._grid is None, name
+                assert "_period" not in vars(old), name
+                assert np.array_equal(old.phases, state["phases"]), name
+                for phase, half_window in ((5.0, 30.0), (200.0, 1.5)):
+                    assert np.array_equal(
+                        old.samples_near_phase(phase, half_window),
+                        _mask_samples(old, phase, half_window)), name
+
+    def test_stamped_pickle_round_trip(self):
+        """A grid-stamped fold pickles with its stamp, before and
+        after its phases were first read."""
+        for name, eye, grid in _folds(2537, 6):
+            before = pickle.loads(pickle.dumps(eye))
+            phases = eye.phases  # built and kept by the first read
+            after = pickle.loads(pickle.dumps(eye))
+            for again in (before, after):
+                assert again._grid == grid, name
+                assert np.array_equal(again.phases, phases), name
+                assert np.array_equal(
+                    again.samples_near_phase(7.0, 25.0),
+                    eye.samples_near_phase(7.0, 25.0)), name

@@ -106,14 +106,24 @@ equivalence contract against its scalar reference, enforced by
   Cache traffic is observable as `nrz.template_cache.{hits,misses}`
   (one lookup per profile group on an integer grid, one per block
   otherwise).
-- **Eye-center reads** (`EyeDiagram.samples_near_phase`): a fold
-  whose phases tile (`_binning.fold_period`, the same test
-  `fold_phases` uses) carries its period, so the phase window is
-  evaluated on one period and the selected columns are gathered
-  from a `(periods, period)` view of the voltages plus the partial
-  period at the end — the same samples, in the same order, as the
-  full-record mask. Diagrams with no known period (built by the
-  constructor, merged folds, older cache entries) take the
+- **Eye folds and eye-center reads** (`EyeDiagram.from_batch`,
+  `EyeDiagram.samples_near_phase`): a per-row fold stores no phase
+  per sample; it is stamped with its sample grid `(offset, dt)`, and
+  `EyeDiagram.phases` builds `_binning.fold_phases` of that grid on
+  first read (bit for bit the array the fold stored before). The
+  phase window reads only what it needs through
+  `_binning.grid_phases`, the elementwise arithmetic of
+  `fold_phases`: when the fold tiles (`_binning.fold_period`), it is
+  evaluated on one period and the selected columns are gathered from
+  a `(periods, period)` view of the voltages plus the partial period
+  at the end; otherwise it is evaluated on candidate index runs, the
+  samples of each UI cycle whose nominal time lies within the half
+  window of the phase, widened by one sample at each end (a window
+  half the UI wide or wider reads every index). Either way the
+  result is the same samples, in the same order, as the
+  full-record mask.
+  Diagrams with explicit phases (built by the constructor, merged
+  folds, cache entries pickled before the grid stamp) take the
   full-record mask.
 - **PRBS generation** (`_kernels.prbs_bits_blockwise`): blockwise
   GF(2) matrix products (8192 bits per application), *bit-exact*
@@ -188,8 +198,23 @@ with artifact_cache.use_cache() as cache:
 print(cache.stats())                 # hits/misses/evictions/bytes
 ```
 
-Traffic is observable as `cache.{hits,misses,evictions,stores}`
-counters and the `cache.bytes` gauge.
+`ArtifactCache.get_or_compute` is single-flight: the first thread
+to miss a key computes it outside the cache lock, and threads asking
+for the key meanwhile wait and read the stored entry (a hit), so the
+two thread shards of a cold sweep compute each artifact once. A
+compute that raises wakes its waiters, and each then claims the key
+and computes it itself; a compute asking for its own key on the same
+thread runs inline. `NullCache`, `RemoteCacheTier`,
+`get_or_compute_rows`, and processes sharing a `disk_path` do not
+single-flight.
+
+Traffic is observable as `cache.{hits,misses,evictions,stores,waits}`
+counters and the `cache.bytes` gauge: `misses` counts computes, and
+`waits` counts the lookups that waited on another thread's compute
+(how much of a sweep serialized on in-flight keys). The byte budget
+counts an `EyeDiagram` by the arrays it owns, so a cached
+`from_batch` row's voltages copy counts and a fold viewing a cached
+waveform's samples does not count them twice.
 
 **Streaming eye accumulation.** `EyeDiagram` keeps every folded
 sample; `repro.eye.EyeAccumulator` instead folds chunk-by-chunk
