@@ -4,12 +4,16 @@ The paper's throughput story is explicitly parallel: "the miniature
 tester may be replicated in array form ... functional testing can
 then be done in parallel, increasing production throughput by an
 order of magnitude" (Figure 13). This subsystem is that replication
-for the simulation stack: one :class:`Executor` (serial, thread, or
-process backend) runs :class:`ShardPlan`-partitioned workloads —
-shmoo grids, wafer touchdown plans, long BER runs — with
-deterministic per-shard seeding, bounded retry, timeouts, and
-telemetry that merges back into the parent registry so a 16-worker
-run reads identically to a serial one.
+for the simulation stack: one :class:`Executor` (``serial``,
+``thread``, ``process`` or ``remote`` backend — four fixed names)
+runs :class:`ShardPlan`-partitioned workloads — shmoo grids, wafer
+touchdown plans, long BER runs — with deterministic per-shard
+seeding, bounded retry, timeouts, and telemetry that merges back
+into the parent registry so a 16-worker run reads identically to a
+serial one. Every backend keeps its books in one
+:class:`ChunkLedger`, the property-tested state machine that alone
+decides attempts, retries and timeouts; the remote backend runs on
+a :class:`WorkerPool` of worker processes over TCP.
 
 Usage::
 
@@ -26,20 +30,17 @@ bit-exactness are untouched unless a caller opts in.
 """
 
 from repro.parallel.executor import (
-    BACKENDS, CallbackGuard, ExecutionResult, Executor, ShardError,
-    register_backend, registered_backends,
+    CallbackGuard, ChunkLedger, ExecutionResult, Executor, ShardError,
 )
 from repro.parallel.shards import Shard, ShardPlan
 from repro.parallel.workers import ber_shard_worker, run_chunk
 
 # Imported after the executor so its `from repro.parallel import
-# Executor` (via repro.service) resolves; importing it registers the
-# "remote" backend.
-from repro.parallel.pool import ChunkLedger, WorkerPool
+# Executor` (via repro.service) resolves.
+from repro.parallel.pool import WorkerPool
 
 __all__ = [
-    "BACKENDS", "CallbackGuard", "ChunkLedger", "ExecutionResult",
-    "Executor", "ShardError", "Shard", "ShardPlan", "WorkerPool",
-    "ber_shard_worker", "register_backend", "registered_backends",
-    "run_chunk",
+    "CallbackGuard", "ChunkLedger", "ExecutionResult", "Executor",
+    "ShardError", "Shard", "ShardPlan", "WorkerPool",
+    "ber_shard_worker", "run_chunk",
 ]

@@ -1,9 +1,10 @@
-"""The sharded execution engine: serial, thread, and process backends.
+"""The sharded execution engine: one set of books, four backends.
 
 One :class:`Executor` drives every parallel path in the stack
 (shmoo sweeps, wafer test floors, BER characterization). Work
 arrives as an ordered list of items, gets grouped into chunks to
-amortize dispatch overhead, and runs on the selected backend with:
+amortize dispatch overhead, and runs on one of four fixed backends
+(``serial``, ``thread``, ``process``, ``remote``) with:
 
 - deterministic per-item seeding (``SeedSequence.spawn`` via
   :mod:`repro._rng` — shard k sees seed k on every backend),
@@ -14,6 +15,14 @@ amortize dispatch overhead, and runs on the selected backend with:
   registries whose snapshots merge back into the parent through the
   registry's associative merge, so a 16-worker run's counters read
   identically to a serial run's.
+
+Every backend keeps its books in one :class:`ChunkLedger`: attempts,
+the retry budget, deadlines, timeouts and stale-result rejection
+live there and nowhere else, so one property-tested state machine
+decides retries and timeouts whatever the transport. Each backend's
+loop keeps only its transport's own work: running a chunk inline,
+submitting futures to a pool (and rebuilding a broken or wedged
+process pool), or moving frames to remote workers.
 
 The serial backend executes the identical chunk frame inline, which
 is what makes "backend equivalence" a testable property rather than
@@ -26,6 +35,7 @@ import dataclasses
 import math
 import pickle
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait,
 )
@@ -38,10 +48,8 @@ from repro.errors import ConfigurationError, ReproError
 from repro.parallel.workers import run_chunk
 from repro.telemetry.registry import Registry
 
-#: The built-in in-process backends (kept for compatibility; the
-#: authoritative list — including ``"remote"`` and any plugin — is
-#: :func:`registered_backends`).
-BACKENDS = ("serial", "thread", "process")
+#: The backend names :class:`Executor` accepts.
+_BACKENDS = ("serial", "thread", "process", "remote")
 
 #: Poll interval (s) while watching for timeouts or abort requests.
 _POLL_S = 0.02
@@ -51,85 +59,156 @@ class ShardError(ReproError):
     """A shard failed, crashed, or timed out beyond its retry budget."""
 
 
-@dataclasses.dataclass(frozen=True)
-class _Backend:
-    """One registered backend: its runner and dispatch traits."""
+class ChunkLedger:
+    """Which chunk is where, and what it has cost: the dispatch books.
 
-    #: ``runner(executor, fn, chunks, state, progress,
-    #: should_abort, collect_telemetry)`` mutating *state* in place.
-    runner: Callable
-    #: True when work leaves the parent process (work functions and
-    #: items must pickle; worker telemetry snapshots merge back).
-    isolated: bool = False
-
-
-#: name -> :class:`_Backend`. The serial/thread/process builtins
-#: register at import; ``repro.parallel.pool`` adds ``"remote"``;
-#: plugins (a GPU or compiled backend) call :func:`register_backend`.
-_REGISTRY: Dict[str, _Backend] = {}
-
-
-def register_backend(name: str, runner: Callable, *,
-                     isolated: bool = False,
-                     replace: bool = False) -> None:
-    """Register an executor backend under *name*.
-
-    The pluggable seam: a new backend (remote pool, GPU, compiled)
-    plugs in without editing :class:`Executor`. *runner* is called
-    as ``runner(executor, fn, chunks, state, progress,
-    should_abort, collect_telemetry)`` where ``chunks`` is a list
-    of ``(global_index, item, seed)`` entry lists and *state* is
-    the run's mutable bookkeeping — record completed chunks through
-    ``Executor._record`` to keep canonical-order reassembly and
-    telemetry-snapshot merging identical across backends.
+    Chunks move ``pending -> in flight (on one worker) -> done``.
+    Every backend's loop drives one ledger per run and keeps no
+    books of its own. A failed attempt (:meth:`fail`) or a passed
+    deadline (:meth:`expired`) charges the chunk one attempt and
+    requeues it at the front, until its attempts exceed
+    ``max_retries`` and the ledger raises :class:`ShardError`. A
+    worker death (:meth:`requeue_worker`) requeues for free. A result
+    the ledger no longer expects — the chunk timed out, or the worker
+    no longer holds it — changes nothing. The class holds no
+    sockets, threads or clocks, which is what makes "any interleaving
+    runs every chunk exactly once, or raises ShardError" a
+    hypothesis property instead of a hope.
 
     Parameters
     ----------
-    name:
-        Backend name accepted by ``Executor(backend=...)``.
-    runner:
-        The dispatch callable described above.
-    isolated:
-        Declare that work leaves the parent process: submit-time
-        picklability checks apply and per-chunk telemetry snapshots
-        are collected for the parent to merge.
-    replace:
-        Allow overwriting an existing registration (re-imports,
-        tests); without it a duplicate name raises.
+    n_chunks:
+        Chunks in the run (at least one).
+    max_retries:
+        Charged attempts a chunk survives; the next one raises
+        :class:`ShardError`.
+    timeout_s:
+        Wall-clock limit on one attempt, counted from :meth:`start`;
+        None never expires.
     """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("backend name must be a non-empty "
-                                 "string")
-    if not callable(runner):
-        raise ConfigurationError(
-            f"backend {name!r} runner must be callable"
-        )
-    if name in _REGISTRY and not replace:
-        raise ConfigurationError(
-            f"backend {name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    _REGISTRY[name] = _Backend(runner=runner, isolated=bool(isolated))
 
+    def __init__(self, n_chunks: int, max_retries: int = 1,
+                 timeout_s: Optional[float] = None):
+        if n_chunks < 1:
+            raise ConfigurationError(
+                f"need >= 1 chunk, got {n_chunks}"
+            )
+        self.pending: deque = deque(range(n_chunks))
+        self.in_flight: Dict[int, str] = {}
+        self.done: set = set()
+        self.n_chunks = n_chunks
+        self.max_retries = max_retries
+        self.timeout_s = timeout_s
+        #: Attempts charged to each chunk (failures and timeouts).
+        self.attempts = [0] * n_chunks
+        #: Deadline of each in-flight chunk that has started.
+        self.deadlines: Dict[int, float] = {}
+        #: Attempts charged run-wide, and how many were timeouts.
+        self.retries = 0
+        self.timeouts = 0
 
-def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, sorted."""
-    return tuple(sorted(_REGISTRY))
+    def assign(self, worker: str) -> Optional[int]:
+        """Move the next pending chunk onto *worker*; None if idle."""
+        if not self.pending:
+            return None
+        cid = self.pending.popleft()
+        self.in_flight[cid] = worker
+        return cid
 
+    def start(self, cid: int, now: float) -> None:
+        """Arm an in-flight chunk's deadline once, as it starts."""
+        if self.timeout_s is not None and cid in self.in_flight:
+            self.deadlines.setdefault(cid, now + self.timeout_s)
 
-def _lookup_backend(name: str) -> _Backend:
-    if name not in _REGISTRY and name == "remote":
-        # The remote backend registers on import; importing the
-        # package normally does this, but direct
-        # ``repro.parallel.executor`` importers get it lazily.
-        import repro.parallel.pool  # noqa: F401
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(registered_backends())}"
-        ) from None
+    def complete(self, cid: int, worker: str) -> bool:
+        """Mark *worker*'s chunk finished.
+
+        Returns False, changing nothing, for a result the ledger no
+        longer expects: the chunk timed out, or *worker* no longer
+        holds it.
+        """
+        if self.in_flight.get(cid) != worker:
+            return False
+        del self.in_flight[cid]
+        self.deadlines.pop(cid, None)
+        self.done.add(cid)
+        return True
+
+    def fail(self, cid: int, worker: str, cause) -> bool:
+        """Charge *worker*'s chunk one failed attempt.
+
+        The chunk requeues at the front; once its attempts exceed
+        ``max_retries`` this raises :class:`ShardError` reading
+        ``chunk <cid> failed after <n> attempt(s): <cause>``. Returns
+        False, changing nothing, for a failure the ledger no longer
+        expects (as :meth:`complete`).
+        """
+        if self.in_flight.get(cid) != worker:
+            return False
+        self._charge(cid, "failed", f": {cause}",
+                     cause if isinstance(cause, BaseException) else None)
+        return True
+
+    def expired(self, now: float) -> List[Tuple[int, str]]:
+        """Charge each started chunk past its deadline as a timeout.
+
+        Returns the ``(cid, worker)`` pairs that timed out, for the
+        loop to stop or abandon those workers; raises
+        :class:`ShardError` for a chunk out of attempts.
+        """
+        late = [(cid, self.in_flight[cid])
+                for cid, deadline in sorted(self.deadlines.items())
+                if now > deadline]
+        for cid, _ in late:
+            self.timeouts += 1
+            self._charge(cid, "timed out",
+                         f" ({self.timeout_s:g}s each)")
+        return late
+
+    def requeue_worker(self, worker: str) -> List[int]:
+        """Reclaim every chunk in flight on *worker*, free of charge.
+
+        Returns the requeued chunk ids (prepended to pending so the
+        recovery work dispatches first).
+        """
+        lost = sorted(cid for cid, w in self.in_flight.items()
+                      if w == worker)
+        for cid in reversed(lost):
+            del self.in_flight[cid]
+            self.deadlines.pop(cid, None)
+            self.pending.appendleft(cid)
+        return lost
+
+    def _charge(self, cid: int, how: str, detail: str,
+                cause: Optional[BaseException] = None) -> None:
+        del self.in_flight[cid]
+        self.deadlines.pop(cid, None)
+        self.pending.appendleft(cid)
+        self.attempts[cid] += 1
+        self.retries += 1
+        if self.attempts[cid] > self.max_retries:
+            raise ShardError(
+                f"chunk {cid} {how} after {self.attempts[cid]} "
+                f"attempt(s){detail}"
+            ) from cause
+
+    @property
+    def finished(self) -> bool:
+        """True once every chunk is done."""
+        return len(self.done) == self.n_chunks
+
+    def check_invariants(self) -> None:
+        """Every chunk is in exactly one of pending/in-flight/done,
+        only in-flight chunks hold deadlines, and every charged
+        attempt is counted."""
+        pend = set(self.pending)
+        fly = set(self.in_flight)
+        states = [pend, fly, self.done]
+        assert sum(len(s) for s in states) == self.n_chunks
+        assert pend | fly | self.done == set(range(self.n_chunks))
+        assert set(self.deadlines) <= fly
+        assert self.retries == sum(self.attempts)
+        assert self.timeouts <= self.retries
 
 
 class CallbackGuard:
@@ -247,14 +326,13 @@ class ExecutionResult:
 
 
 class _RunState:
-    """Mutable bookkeeping for one run."""
+    """Mutable bookkeeping for one run: results beside the ledger."""
 
-    def __init__(self, total: int):
+    def __init__(self, total: int, ledger: ChunkLedger):
         self.results: List[Any] = [None] * total
         self.completed = [False] * total
         self.done = 0
-        self.retries = 0
-        self.timeouts = 0
+        self.ledger = ledger
         self.aborted = False
         self.snapshots: List[dict] = []
 
@@ -265,17 +343,18 @@ class Executor:
     Parameters
     ----------
     backend:
-        ``"serial"`` (inline, the default), ``"thread"``
+        One of four fixed names: ``"serial"`` (inline, the
+        default), ``"thread"``
         (:class:`~concurrent.futures.ThreadPoolExecutor` — right for
         workloads that sleep or release the GIL), ``"process"``
         (:class:`~concurrent.futures.ProcessPoolExecutor` — true
         parallelism; work functions and their bound arguments must
-        be picklable), ``"remote"`` (a
+        be picklable) or ``"remote"`` (a
         :class:`~repro.parallel.pool.WorkerPool` of worker
         *processes* over NDJSON/TCP — local or on other hosts, with
         heartbeat supervision, requeue on worker death, and the
-        shared read-through cache tier), or any name added through
-        :func:`register_backend`.
+        shared read-through cache tier). Only ``process`` and
+        ``remote`` ship work to another process.
     max_workers:
         Pool width for the thread/process backends; spawned worker
         count for an owned remote pool.
@@ -288,10 +367,17 @@ class Executor:
     timeout_s:
         Wall-clock limit for one chunk's *execution* (measured from
         when it starts running, not from submission). A timed-out
-        chunk counts as a failure and consumes a retry. On the
-        thread backend the stuck worker cannot be killed, so a
-        timed-out chunk may still run to completion in the
-        background — work functions should be idempotent.
+        chunk counts as a failure and consumes a retry. What happens
+        to the wedged work depends on the backend: ``serial`` runs
+        each chunk inline to its end and ignores the limit;
+        ``thread`` abandons the stuck future — a thread cannot be
+        killed, so the chunk may still run to completion in the
+        background, and work functions should be idempotent;
+        ``process`` terminates the pool's worker processes and
+        rebuilds the pool, requeuing its other chunks for free (the
+        workers are also terminated when the run raises after a
+        timeout); ``remote`` declares the wedged worker dead, so a
+        retry runs on the survivors.
     registry:
         Optional injected telemetry registry; defaults to the
         module-level active one.
@@ -301,7 +387,7 @@ class Executor:
         to share — the executor will not close it) or, when
         spawning its own, ``heartbeat_s`` / ``heartbeat_timeout_s``
         / ``connect_timeout_s`` / ``spawn`` / ``host`` / ``port`` /
-        ``cache``. Plugin backends define their own keys.
+        ``cache``. The other backends read nothing from it.
     """
 
     def __init__(self, backend: str = "serial",
@@ -311,7 +397,11 @@ class Executor:
                  timeout_s: Optional[float] = None,
                  registry=None,
                  backend_options: Optional[dict] = None):
-        self._backend_impl = _lookup_backend(backend)
+        if backend not in _BACKENDS:
+            raise ConfigurationError(
+                f"unknown backend {backend!r}; backends: "
+                f"{', '.join(_BACKENDS)}"
+            )
         if max_workers < 1:
             raise ConfigurationError(
                 f"need >= 1 worker, got {max_workers}"
@@ -421,8 +511,9 @@ class Executor:
         collect_telemetry:
             Force worker-side telemetry collection on/off; default
             collects exactly when the parent registry is enabled
-            and the backend is ``"process"`` (serial/thread workers
-            already share the parent's registry).
+            and the backend is ``"process"`` or ``"remote"``
+            (serial/thread workers already share the parent's
+            registry).
         """
         items = list(items)
         if not items:
@@ -435,9 +526,9 @@ class Executor:
             # parallel.callback_errors).
             progress = guard.progress if progress is not None else None
             should_abort = guard.should_abort
+        shipped = self.backend in ("process", "remote")
         if collect_telemetry is None:
-            collect_telemetry = bool(tel.enabled) \
-                and self._backend_impl.isolated
+            collect_telemetry = bool(tel.enabled) and shipped
         seeds: List[Optional[int]]
         if seed_root is not None:
             seeds = list(spawn_seeds(len(items), root=seed_root))
@@ -445,34 +536,43 @@ class Executor:
             seeds = [None] * len(items)
         entries = [(i, item, seed)
                    for i, (item, seed) in enumerate(zip(items, seeds))]
-        if self._backend_impl.isolated:
+        if shipped:
             self._check_portable(fn, entries[0])
         size = self.chunk_size if self.chunk_size is not None else \
             max(1, math.ceil(len(items) / (self.max_workers * 4)))
         chunks = [entries[i:i + size]
                   for i in range(0, len(entries), size)]
-        state = _RunState(len(items))
+        ledger = ChunkLedger(len(chunks), self.max_retries,
+                             self.timeout_s)
+        state = _RunState(len(items), ledger)
         try:
             with tel.span("parallel.run"):
-                self._backend_impl.runner(
-                    self, fn, chunks, state, progress, should_abort,
-                    collect_telemetry)
+                if self.backend == "serial":
+                    self._run_serial(fn, chunks, state, progress,
+                                     should_abort)
+                elif self.backend == "remote":
+                    self._ensure_remote_pool().execute(
+                        self, fn, chunks, state, progress,
+                        should_abort, collect_telemetry)
+                else:
+                    self._run_pooled(fn, chunks, state, progress,
+                                     should_abort, collect_telemetry)
         finally:
             # Commit the run's accounting even when a shard error
             # propagates — failed runs must stay observable.
             tel.counter("parallel.runs").inc()
             tel.counter("parallel.chunks").inc(len(chunks))
             tel.counter("parallel.items").inc(state.done)
-            if state.retries:
-                tel.counter("parallel.retries").inc(state.retries)
-            if state.timeouts:
-                tel.counter("parallel.timeouts").inc(state.timeouts)
+            if ledger.retries:
+                tel.counter("parallel.retries").inc(ledger.retries)
+            if ledger.timeouts:
+                tel.counter("parallel.timeouts").inc(ledger.timeouts)
             if state.aborted:
                 tel.counter("parallel.aborts").inc()
             self._absorb_snapshots(tel, state)
         return ExecutionResult(results=state.results,
                                completed=state.completed,
-                               retries=state.retries,
+                               retries=ledger.retries,
                                aborted=state.aborted)
 
     # -- submit-time portability check -------------------------------------
@@ -521,24 +621,20 @@ class Executor:
     # -- serial backend ----------------------------------------------------
 
     def _run_serial(self, fn, chunks, state, progress, should_abort):
-        for cid, chunk in enumerate(chunks):
+        """Run each chunk inline; a chunk cannot time out here."""
+        ledger = state.ledger
+        while ledger.pending:
             if should_abort is not None and should_abort():
                 state.aborted = True
                 return
-            attempts = 0
-            while True:
-                try:
-                    results, snap = run_chunk(fn, chunk, False)
-                    break
-                except Exception as exc:
-                    attempts += 1
-                    state.retries += 1
-                    if attempts > self.max_retries:
-                        raise ShardError(
-                            f"chunk {cid} failed after {attempts} "
-                            f"attempt(s): {exc}"
-                        ) from exc
-            self._record(state, chunk, results, snap, progress)
+            cid = ledger.assign("serial")
+            try:
+                results, snap = run_chunk(fn, chunks[cid], False)
+            except Exception as exc:
+                ledger.fail(cid, "serial", exc)
+                continue
+            ledger.complete(cid, "serial")
+            self._record(state, chunks[cid], results, snap, progress)
 
     # -- pooled backends ---------------------------------------------------
 
@@ -549,109 +645,78 @@ class Executor:
 
     def _run_pooled(self, fn, chunks, state, progress, should_abort,
                     collect):
+        """Thread/process loop: the pool is one worker to the ledger,
+        and every pending chunk is submitted to it at once."""
+        ledger, me = state.ledger, self.backend
         pool = self._make_pool()
-        attempts = [0] * len(chunks)
-        pending: Dict[Future, int] = {}
-        deadlines: Dict[Future, Optional[float]] = {}
+        running: Dict[Future, int] = {}
+        block = _POLL_S if (self.timeout_s is not None
+                            or should_abort is not None) else None
 
-        def submit(cid: int) -> None:
-            fut = pool.submit(run_chunk, fn, chunks[cid], collect)
-            pending[fut] = cid
-            deadlines[fut] = None  # armed once the chunk starts
+        def submit_pending() -> None:
+            cid = ledger.assign(me)
+            while cid is not None:
+                fut = pool.submit(run_chunk, fn, chunks[cid], collect)
+                running[fut] = cid
+                cid = ledger.assign(me)
 
-        def resubmit_all(cids) -> None:
-            for cid in cids:
-                submit(cid)
-
-        def fail(message: str, cause: Optional[BaseException]):
-            for f in pending:
-                f.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise ShardError(message) from cause
+        def replace_pool() -> None:
+            # Every future on the old pool is lost with it: requeue
+            # its chunks for free and stop its workers.
+            nonlocal pool
+            ledger.requeue_worker(me)
+            running.clear()
+            _shut_down(pool, terminate=True)
+            pool = self._make_pool()
 
         try:
-            for cid in range(len(chunks)):
-                submit(cid)
-            while pending:
+            submit_pending()
+            while running:
                 if should_abort is not None and should_abort():
                     state.aborted = True
-                    for f in list(pending):
-                        f.cancel()
                     break
-                block = _POLL_S if (self.timeout_s is not None
-                                    or should_abort is not None) else None
-                wait(set(pending), timeout=block,
+                wait(running, timeout=block,
                      return_when=FIRST_COMPLETED)
                 # Completions first, so a finished chunk never gets
                 # charged a timeout it beat by a poll interval.
-                for fut in [f for f in pending if f.done()]:
-                    cid = pending.pop(fut)
-                    deadlines.pop(fut, None)
+                for fut in [f for f in running if f.done()]:
+                    cid = running.pop(fut)
                     try:
                         results, snap = fut.result()
                     except BrokenProcessPool as exc:
-                        # A worker died; every in-flight future on
-                        # this pool is lost. Charge the chunk we saw
-                        # it on, rebuild the pool, resubmit the rest.
-                        attempts[cid] += 1
-                        state.retries += 1
-                        if attempts[cid] > self.max_retries:
-                            fail(f"chunk {cid} crashed a worker "
-                                 f"after {attempts[cid]} attempt(s)",
-                                 exc)
-                        lost = [cid] + sorted(pending.values())
-                        pending.clear()
-                        deadlines.clear()
-                        pool.shutdown(wait=False)
-                        pool = self._make_pool()
-                        resubmit_all(lost)
-                        break  # future set changed; re-poll
+                        # A worker died; charge the chunk we saw it
+                        # on, the pool's other chunks go back free.
+                        ledger.fail(cid, me, f"a worker crashed ({exc})")
+                        replace_pool()
+                        break
                     except Exception as exc:
-                        attempts[cid] += 1
-                        state.retries += 1
-                        if attempts[cid] > self.max_retries:
-                            fail(f"chunk {cid} failed after "
-                                 f"{attempts[cid]} attempt(s): {exc}",
-                                 exc)
-                        submit(cid)
+                        ledger.fail(cid, me, exc)
                     else:
+                        ledger.complete(cid, me)
                         self._record(state, chunks[cid], results,
                                      snap, progress)
-                if self.timeout_s is None:
-                    continue
-                now = time.monotonic()
-                for fut in list(pending):
-                    if deadlines.get(fut) is None:
+                if self.timeout_s is not None:
+                    now = time.monotonic()
+                    for fut, cid in running.items():
                         if fut.running():
-                            deadlines[fut] = now + self.timeout_s
-                        continue
-                    if now <= deadlines[fut]:
-                        continue
-                    cid = pending.pop(fut)
-                    deadlines.pop(fut, None)
-                    cancelled = fut.cancel()
-                    attempts[cid] += 1
-                    state.retries += 1
-                    state.timeouts += 1
-                    if attempts[cid] > self.max_retries:
-                        fail(f"chunk {cid} timed out after "
-                             f"{attempts[cid]} attempt(s) "
-                             f"({self.timeout_s:g}s each)", None)
-                    if not cancelled and self.backend == "process":
+                            ledger.start(cid, now)
+                    late = {cid for cid, _ in ledger.expired(now)}
+                    if late and me == "process":
                         # The worker is wedged; replace the pool so
                         # the retry is not starved behind it.
-                        survivors = sorted(pending.values())
-                        pending.clear()
-                        deadlines.clear()
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = self._make_pool()
-                        resubmit_all([cid] + survivors)
-                        break
-                    # Thread backend: the stuck thread cannot be
-                    # killed; abandon its future and retry.
-                    submit(cid)
+                        replace_pool()
+                    elif late:
+                        # A stuck thread cannot be killed: abandon
+                        # its future and retry the chunk.
+                        for fut in [f for f, cid in running.items()
+                                    if cid in late]:
+                            del running[fut]
+                submit_pending()
         finally:
-            pool.shutdown(wait=False)
+            # After a timeout the pool may still hold a wedged worker
+            # process (when the run raises), and interpreter exit
+            # would wait for it.
+            _shut_down(pool, terminate=ledger.timeouts > 0)
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -678,19 +743,16 @@ class Executor:
         tel.absorb(combined)
 
 
-# -- built-in backends -----------------------------------------------------
+def _shut_down(pool, terminate: bool = False) -> None:
+    """Shut *pool* down without waiting, cancelling queued futures.
 
-def _run_serial_backend(executor, fn, chunks, state, progress,
-                        should_abort, collect) -> None:
-    executor._run_serial(fn, chunks, state, progress, should_abort)
-
-
-def _run_pooled_backend(executor, fn, chunks, state, progress,
-                        should_abort, collect) -> None:
-    executor._run_pooled(fn, chunks, state, progress, should_abort,
-                         collect)
-
-
-register_backend("serial", _run_serial_backend)
-register_backend("thread", _run_pooled_backend)
-register_backend("process", _run_pooled_backend, isolated=True)
+    With *terminate*, a process pool's worker processes are stopped
+    too. ``ProcessPoolExecutor`` has no public terminate before
+    Python 3.14, and ``shutdown()`` clears ``_processes``, so it is
+    read first.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values()) \
+        if terminate else []
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        proc.terminate()

@@ -22,10 +22,12 @@ frames), making the content-addressed store a shared cross-host
 tier: a worker consults its local memory, then the master, before
 computing — see :class:`repro.cache.remote.RemoteCacheTier`.
 
-Pure dispatch bookkeeping lives in :class:`ChunkLedger` so the
-requeue/completion state machine is property-testable without
-sockets: any interleaving of completions and worker deaths must run
-every chunk exactly once.
+The pool keeps no dispatch books of its own. Attempts, deadlines,
+timeouts and the retry verdict live in the run's
+:class:`~repro.parallel.executor.ChunkLedger`, the state machine
+every executor backend shares; the pool's loop only moves frames,
+tracks which worker is busy, and fails a worker whose chunk the
+ledger reports as timed out.
 """
 
 from __future__ import annotations
@@ -37,16 +39,13 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import cache as artifact_cache
 from repro import telemetry
 from repro.errors import ConfigurationError, ProtocolError
 from repro.parallel import transport
-from repro.parallel.executor import (
-    ShardError, register_backend,
-)
+from repro.parallel.executor import ShardError
 
 #: Dispatch-loop poll interval (s); bounds abort/timeout latency.
 _POLL_S = 0.02
@@ -55,73 +54,6 @@ _POLL_S = 0.02
 #: workers (a SIGSTOPped worker ignores SIGTERM until resumed, so
 #: the kill must always follow).
 _REAP_GRACE_S = 1.0
-
-
-class ChunkLedger:
-    """Which chunk is where: the pool's pure dispatch bookkeeping.
-
-    Chunks move ``pending -> in flight (on one worker) -> done``;
-    a worker death moves its in-flight chunks back to pending (at
-    the front, so recovery work runs before fresh work), and a
-    failed attempt can be requeued explicitly. The class holds no
-    sockets or threads, which is what makes "any sequence of worker
-    failures still yields every chunk exactly once" a hypothesis
-    property instead of a hope.
-    """
-
-    def __init__(self, n_chunks: int):
-        if n_chunks < 1:
-            raise ConfigurationError(
-                f"need >= 1 chunk, got {n_chunks}"
-            )
-        self.pending: deque = deque(range(n_chunks))
-        self.in_flight: Dict[int, str] = {}
-        self.done: set = set()
-        self.n_chunks = n_chunks
-
-    def assign(self, worker: str) -> Optional[int]:
-        """Move the next pending chunk onto *worker*; None if idle."""
-        if not self.pending:
-            return None
-        cid = self.pending.popleft()
-        self.in_flight[cid] = worker
-        return cid
-
-    def complete(self, cid: int) -> None:
-        """Mark an in-flight chunk finished."""
-        self.in_flight.pop(cid, None)
-        self.done.add(cid)
-
-    def requeue_chunk(self, cid: int) -> None:
-        """Send a failed in-flight chunk back for another attempt."""
-        if self.in_flight.pop(cid, None) is not None:
-            self.pending.appendleft(cid)
-
-    def requeue_worker(self, worker: str) -> List[int]:
-        """Reclaim every chunk in flight on a dead *worker*.
-
-        Returns the requeued chunk ids (prepended to pending so the
-        recovery work dispatches first).
-        """
-        lost = sorted(cid for cid, w in self.in_flight.items()
-                      if w == worker)
-        for cid in reversed(lost):
-            del self.in_flight[cid]
-            self.pending.appendleft(cid)
-        return lost
-
-    @property
-    def finished(self) -> bool:
-        """True once every chunk is done."""
-        return len(self.done) == self.n_chunks
-
-    def check_invariants(self) -> None:
-        """Every chunk is in exactly one of pending/in-flight/done."""
-        pend = set(self.pending)
-        fly = set(self.in_flight)
-        states = [pend, fly, self.done]
-        assert sum(len(s) for s in states) == self.n_chunks
-        assert pend | fly | self.done == set(range(self.n_chunks))
 
 
 class _Worker:
@@ -241,7 +173,7 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._events: "queue.Queue" = queue.Queue()
         self._joined = threading.Condition(self._lock)
-        self._threads: List[threading.Thread] = []
+        self._accept_thread: Optional[threading.Thread] = None
         self._procs: List[subprocess.Popen] = []
         self._job_ids = iter(range(1, 1 << 62)).__next__
         self._started = False
@@ -265,16 +197,13 @@ class WorkerPool:
         self._listener.bind((self.host, self.port))
         self._listener.listen(max(4, 2 * self.n_workers))
         self.address = self._listener.getsockname()[:2]
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="repro-pool-accept",
-                                  daemon=True)
-        accept.start()
-        self._threads.append(accept)
-        beat = threading.Thread(target=self._heartbeat_loop,
-                                name="repro-pool-heartbeat",
-                                daemon=True)
-        beat.start()
-        self._threads.append(beat)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="repro-pool-accept",
+            daemon=True)
+        self._accept_thread.start()
+        threading.Thread(target=self._heartbeat_loop,
+                         name="repro-pool-heartbeat",
+                         daemon=True).start()
         if self.spawn:
             for k in range(self.n_workers):
                 self._procs.append(self._spawn_worker(f"w{k}"))
@@ -372,10 +301,16 @@ class WorkerPool:
                 pass
             w.stream.close()
         if self._listener is not None:
+            # shutdown() wakes the accept thread out of accept();
+            # close() alone leaves it blocked, and a stale thread
+            # can later accept (and reject) another pool's worker.
             try:
-                self._listener.close()
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=_REAP_GRACE_S)
         for proc in self._procs:
             if proc.poll() is None:
                 proc.terminate()
@@ -404,11 +339,14 @@ class WorkerPool:
     # -- connection handling ----------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._closed:
+        while True:
             try:
                 sock, _addr = self._listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
+            if self._closed:
+                sock.close()
+                return
             threading.Thread(target=self._handshake, args=(sock,),
                              daemon=True).start()
 
@@ -589,10 +527,11 @@ class WorkerPool:
                 collect: bool) -> None:
         """Run *chunks* across the pool, mutating *state* in place.
 
-        The remote twin of ``Executor._run_pooled``: same retry
-        accounting (a chunk *failure* consumes one of
-        ``executor.max_retries``; a worker *death* requeues for
-        free), same abort semantics, same canonical
+        The run's ``state.ledger`` keeps the books, as on every
+        backend: a chunk *failure* or timeout consumes one of
+        ``executor.max_retries``, a worker *death* requeues for
+        free, and a result the ledger no longer expects is dropped.
+        Completed chunks go through the canonical
         ``Executor._record`` bookkeeping. Stale results from an
         aborted earlier run are discarded by job id.
         """
@@ -609,9 +548,7 @@ class WorkerPool:
         job_id = self._job_ids()
         fn_blob = transport.pack_payload(fn)
         cache_on = bool(self._active_cache().enabled)
-        ledger = ChunkLedger(len(chunks))
-        attempts = [0] * len(chunks)
-        deadline_at: Dict[int, float] = {}
+        ledger = state.ledger
 
         def dispatch() -> None:
             with self._lock:
@@ -637,7 +574,6 @@ class WorkerPool:
                 except ProtocolError as exc:
                     # The frame itself is too big for the wire —
                     # retrying or blaming the worker cannot help.
-                    ledger.requeue_chunk(cid)
                     raise ConfigurationError(
                         f"chunk {cid} ({len(chunks[cid])} item(s)) "
                         f"cannot be dispatched: {exc}; reduce "
@@ -645,7 +581,7 @@ class WorkerPool:
                         f"work function/items"
                     ) from exc
                 except ConnectionError:
-                    ledger.requeue_chunk(cid)
+                    ledger.requeue_worker(w.name)
                     self._fail_worker(w, "dispatch failed")
                     continue
                 # busy/jobs_seen move under the lock so a worker
@@ -656,9 +592,7 @@ class WorkerPool:
                     if w.alive:
                         w.busy = True
                     self._set_worker_gauges(w)
-                if executor.timeout_s is not None:
-                    deadline_at[cid] = time.monotonic() \
-                        + executor.timeout_s
+                ledger.start(cid, time.monotonic())
                 tel.counter("parallel.remote.dispatches").inc()
 
         while not ledger.finished:
@@ -671,18 +605,20 @@ class WorkerPool:
                     f"outstanding); they crashed or never joined"
                 )
             dispatch()
+            for _cid, name in ledger.expired(time.monotonic()):
+                # The worker is wedged past its deadline: declare it
+                # dead rather than double-run the retried chunk.
+                with self._lock:
+                    worker = self._workers.get(name)
+                if worker is not None:
+                    self._fail_worker(worker, "chunk timeout")
             try:
                 kind, worker, payload = self._events.get(
                     timeout=_POLL_S)
             except queue.Empty:
-                self._check_chunk_timeouts(executor, ledger,
-                                           attempts, state,
-                                           deadline_at, tel)
                 continue
             if kind == "death":
                 lost = ledger.requeue_worker(worker.name)
-                for cid in lost:
-                    deadline_at.pop(cid, None)
                 if lost:
                     tel.counter("parallel.remote.requeues") \
                         .inc(len(lost))
@@ -694,71 +630,18 @@ class WorkerPool:
                 self._set_worker_gauges(worker)
             if payload.get("job") != job_id:
                 continue  # stale result from an aborted run
-            if cid in ledger.done or cid not in ledger.in_flight:
-                continue  # timed-out chunk that completed late
-            deadline_at.pop(cid, None)
-            if payload.get("ok"):
-                results = transport.unpack_payload(
-                    payload["payload"])
-                snap = payload.get("telemetry")
-                ledger.complete(cid)
-                worker.chunks_done += 1
-                with self._lock:
-                    self._set_worker_gauges(worker)
-                executor._record(state, chunks[cid], results, snap,
-                                 progress)
-            else:
+            if not payload.get("ok"):
                 err = payload.get("error") or {}
-                attempts[cid] += 1
-                state.retries += 1
-                if attempts[cid] > executor.max_retries:
-                    raise ShardError(
-                        f"chunk {cid} failed on remote worker "
-                        f"{worker.name!r} after {attempts[cid]} "
-                        f"attempt(s): {err.get('type', 'Error')}: "
-                        f"{err.get('message', '')}"
-                    )
-                ledger.requeue_chunk(cid)
-
-    def _check_chunk_timeouts(self, executor, ledger, attempts,
-                              state, deadline_at, tel) -> None:
-        if executor.timeout_s is None or not deadline_at:
-            return
-        now = time.monotonic()
-        for cid, deadline in list(deadline_at.items()):
-            if cid not in ledger.in_flight:
-                # Completed or already requeued elsewhere; the
-                # deadline is stale.
-                deadline_at.pop(cid, None)
+                ledger.fail(cid, worker.name,
+                            f"remote worker {worker.name!r} raised "
+                            f"{err.get('type', 'Error')}: "
+                            f"{err.get('message', '')}")
                 continue
-            if now <= deadline:
-                continue  # still within budget: keep tracking
-            deadline_at.pop(cid)
-            name = ledger.in_flight[cid]
-            attempts[cid] += 1
-            state.retries += 1
-            state.timeouts += 1
-            if attempts[cid] > executor.max_retries:
-                raise ShardError(
-                    f"chunk {cid} timed out on remote worker "
-                    f"{name!r} after {attempts[cid]} attempt(s) "
-                    f"({executor.timeout_s:g}s each)"
-                )
-            # The worker is wedged past its deadline: declare it
-            # dead (requeues the chunk) rather than double-running.
+            if not ledger.complete(cid, worker.name):
+                continue  # timed out, or no longer this worker's
+            results = transport.unpack_payload(payload["payload"])
+            worker.chunks_done += 1
             with self._lock:
-                worker = self._workers.get(name)
-            if worker is not None:
-                self._fail_worker(worker, "chunk timeout")
-
-
-def _run_remote(executor, fn, chunks, state, progress, should_abort,
-                collect) -> None:
-    """Backend runner: route one Executor run through a WorkerPool."""
-    pool = executor._ensure_remote_pool()
-    pool.execute(executor, fn, chunks, state, progress,
-                 should_abort, collect)
-
-
-register_backend("remote", _run_remote, isolated=True,
-                 replace=True)
+                self._set_worker_gauges(worker)
+            executor._record(state, chunks[cid], results,
+                             payload.get("telemetry"), progress)

@@ -1,6 +1,10 @@
 """Tests for the sharded execution engine (all backends)."""
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -8,12 +12,35 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.parallel import Executor, ShardError
+from repro.parallel import Executor, ShardError, WorkerPool
 
 #: CI runs the smoke tests with REPRO_PARALLEL_WORKERS=2.
 N_WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 
 BACKENDS = ("serial", "thread", "process")
+
+#: Every backend; the contract tests below hold on each one.
+ALL_BACKENDS = BACKENDS + ("remote",)
+
+
+@pytest.fixture(scope="module")
+def remote_pool():
+    """One 2-worker pool shared by the module's remote cases."""
+    pool = WorkerPool(n_workers=2).start()
+    yield pool
+    pool.close()
+
+
+@pytest.fixture
+def executor_for(request):
+    """``executor_for(backend, **kwargs)`` builds an Executor; remote
+    cases run on the module's shared pool."""
+    def make(backend, **kwargs):
+        if backend == "remote":
+            kwargs["backend_options"] = {
+                "pool": request.getfixturevalue("remote_pool")}
+        return Executor(backend=backend, **kwargs)
+    return make
 
 
 # Module-level work functions so the process backend can pickle them.
@@ -45,6 +72,12 @@ class TestConfig:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             Executor(backend="gpu")
+
+    def test_unknown_backend_error_lists_all_four(self):
+        with pytest.raises(ConfigurationError) as err:
+            Executor(backend="quantum")
+        for name in ALL_BACKENDS:
+            assert name in str(err.value)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_workers": 0}, {"chunk_size": 0},
@@ -84,9 +117,10 @@ class TestBackendEquivalence:
         out = Executor().run(seed_echo, [1, 2, 3])
         assert out.results == [None, None, None]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parent_counters_backend_invariant(self, backend):
-        ex = Executor(backend=backend, max_workers=2, chunk_size=3)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_parent_counters_backend_invariant(self, backend,
+                                               executor_for):
+        ex = executor_for(backend, max_workers=2, chunk_size=3)
         with telemetry.use_registry() as reg:
             ex.run(square, list(range(10)))
         counters = reg.to_dict()["counters"]
@@ -110,15 +144,16 @@ class TestChunking:
 
 
 class TestRetry:
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
-    def test_exhausted_retries_raise(self, backend):
-        ex = Executor(backend=backend, max_workers=N_WORKERS,
-                      max_retries=1, chunk_size=1)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_exhausted_retries_raise(self, backend, executor_for):
+        ex = executor_for(backend, max_workers=N_WORKERS,
+                          max_retries=1, chunk_size=1)
         with pytest.raises(ShardError, match="failed after 2"):
             ex.run(fail_on_three, list(range(5)))
 
-    def test_zero_retries_fail_fast(self):
-        ex = Executor(max_retries=0, chunk_size=1)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_zero_retries_fail_fast(self, backend, executor_for):
+        ex = executor_for(backend, max_retries=0, chunk_size=1)
         with pytest.raises(ShardError, match="after 1 attempt"):
             ex.run(fail_on_three, [3])
 
@@ -150,9 +185,11 @@ class TestRetry:
 
 
 class TestTimeout:
-    def test_thread_timeout_raises_after_retries(self):
-        ex = Executor(backend="thread", max_workers=2,
-                      max_retries=0, timeout_s=0.1, chunk_size=1)
+    # The serial backend runs chunks inline and never times out.
+    @pytest.mark.parametrize("backend", ("thread", "process", "remote"))
+    def test_timeout_raises_after_retries(self, backend, executor_for):
+        ex = executor_for(backend, max_workers=2, max_retries=0,
+                          timeout_s=0.1, chunk_size=1)
         with pytest.raises(ShardError, match="timed out"):
             ex.run(slow_item, [1.0])
 
@@ -162,19 +199,56 @@ class TestTimeout:
         out = ex.run(square, list(range(6)))
         assert out.ok
 
-    def test_timeout_counted_in_telemetry(self):
-        ex = Executor(backend="thread", max_workers=2,
-                      max_retries=0, timeout_s=0.1, chunk_size=1)
+    @pytest.mark.parametrize("backend", ("thread", "process", "remote"))
+    def test_timeout_counted_in_telemetry(self, backend, executor_for):
+        ex = executor_for(backend, max_workers=2, max_retries=0,
+                          timeout_s=0.1, chunk_size=1)
         with telemetry.use_registry() as reg:
             with pytest.raises(ShardError):
                 ex.run(slow_item, [1.0])
         assert reg.to_dict()["counters"]["parallel.timeouts"] == 1
 
+    def test_process_timeout_stops_the_wedged_worker(self, tmp_path):
+        # Interpreter exit joins the process pool's workers, so a
+        # timed-out worker left running would hold the exit for the
+        # whole 60 s sleep.
+        script = tmp_path / "wedged.py"
+        script.write_text(textwrap.dedent("""
+            import time
+            from repro.parallel import Executor, ShardError
+
+            def nap(item, seed):
+                time.sleep(item)
+
+            if __name__ == "__main__":
+                ex = Executor("process", max_workers=1, max_retries=0,
+                              timeout_s=0.3)
+                try:
+                    ex.run(nap, [60.0])
+                except ShardError as exc:
+                    print(exc)
+        """))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=15.0)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("interpreter exit waited for the wedged worker")
+        assert proc.returncode == 0, err
+        assert "timed out" in out
+
 
 class TestAbortAndProgress:
-    @pytest.mark.parametrize("backend", ("serial", "thread"))
-    def test_abort_before_start_yields_nothing(self, backend):
-        ex = Executor(backend=backend, max_workers=N_WORKERS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_abort_before_start_yields_nothing(self, backend,
+                                               executor_for):
+        ex = executor_for(backend, max_workers=N_WORKERS)
         out = ex.run(square, list(range(10)),
                      should_abort=lambda: True)
         assert out.aborted

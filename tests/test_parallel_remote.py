@@ -1,4 +1,4 @@
-"""Distributed executor backend: registry, pool, protocol, cache tier.
+"""Distributed executor backend: pool, protocol, ledger, cache tier.
 
 The remote backend's contract is the serial backend's contract: same
 per-item seeds, same canonical reassembly, same telemetry totals —
@@ -27,10 +27,8 @@ from repro.errors import ConfigurationError
 from repro.host.session import TestSession
 from repro.host.shmoo import ShmooRunner
 from repro.parallel import (
-    ChunkLedger, Executor, ShardError, WorkerPool,
-    register_backend, registered_backends, transport,
+    ChunkLedger, Executor, ShardError, WorkerPool, transport,
 )
-from repro.parallel.executor import _REGISTRY
 from repro.wafer.map import WaferMap
 from repro.wafer.probe import ProbeCard
 from repro.wafer.scheduler import MultiSiteScheduler
@@ -114,46 +112,6 @@ def remote_executor(pool, **kwargs):
     kwargs.setdefault("max_workers", 2)
     return Executor(backend="remote",
                     backend_options={"pool": pool}, **kwargs)
-
-
-# -- backend registry ------------------------------------------------------
-
-class TestBackendRegistry:
-    def test_builtins_and_remote_registered(self):
-        names = registered_backends()
-        for name in ("serial", "thread", "process", "remote"):
-            assert name in names
-
-    def test_unknown_backend_error_lists_registered(self):
-        with pytest.raises(ConfigurationError) as err:
-            Executor(backend="quantum")
-        assert "registered backends" in str(err.value)
-        assert "remote" in str(err.value)
-
-    def test_custom_backend_pluggable(self):
-        def doubled_serial(executor, fn, chunks, state, progress,
-                          should_abort, collect):
-            executor._run_serial(fn, chunks, state, progress,
-                                 should_abort)
-
-        register_backend("test-echo", doubled_serial)
-        try:
-            out = Executor(backend="test-echo").run(
-                square, list(range(6)))
-            assert out.results == [i * i for i in range(6)]
-        finally:
-            _REGISTRY.pop("test-echo", None)
-
-    def test_duplicate_registration_rejected(self):
-        register_backend("test-dup", lambda *a: None)
-        try:
-            with pytest.raises(ConfigurationError):
-                register_backend("test-dup", lambda *a: None)
-            # replace=True is the explicit override.
-            register_backend("test-dup", lambda *a: None,
-                             replace=True)
-        finally:
-            _REGISTRY.pop("test-dup", None)
 
 
 # -- submit-time portability fail-fast -------------------------------------
@@ -329,6 +287,22 @@ class TestWorkerFailure:
                     ex.run(sleepy, [5.0])
             counters = reg.to_dict()["counters"]
             assert counters["parallel.timeouts"] == 1
+
+    def test_chunk_timeout_fires_while_results_stream_in(self):
+        # The deadline is checked on every turn of the loop, not only
+        # after an idle poll: a second worker returning 10 ms chunks
+        # must not hold off the first worker's timeout.
+        with WorkerPool(n_workers=2) as pool:
+            # Warm both workers, so importing this module does not
+            # leave the master an idle poll during the timed run.
+            warm = remote_executor(pool, chunk_size=1)
+            assert warm.run(sleepy, [0.0, 0.0]).ok
+            ex = remote_executor(pool, chunk_size=1, max_retries=0,
+                                 timeout_s=0.25)
+            t0 = time.monotonic()
+            with pytest.raises(ShardError, match="timed out"):
+                ex.run(sleepy, [3.0] + [0.01] * 300)
+            assert time.monotonic() - t0 < 1.0
 
     def test_chunk_timeout_fails_the_wedged_worker(self):
         # With retry budget left, the timed-out chunk requeues via
@@ -510,13 +484,13 @@ class TestChunkLedger:
         ledger = ChunkLedger(3)
         assert ledger.assign("w0") == 0
         assert ledger.assign("w1") == 1
-        ledger.complete(0)
+        assert ledger.complete(0, "w0")
         assert ledger.requeue_worker("w1") == [1]
         # Requeued work dispatches before fresh work.
         assert ledger.assign("w0") == 1
-        ledger.complete(1)
+        assert ledger.complete(1, "w0")
         assert ledger.assign("w0") == 2
-        ledger.complete(2)
+        assert ledger.complete(2, "w0")
         assert ledger.finished
         ledger.check_invariants()
 
@@ -524,48 +498,137 @@ class TestChunkLedger:
         with pytest.raises(ConfigurationError):
             ChunkLedger(0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        n_chunks=st.integers(1, 24),
+        n_chunks=st.integers(1, 12),
+        max_retries=st.integers(0, 3),
+        timeout_s=st.sampled_from([None, 1.0]),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["assign", "complete", "kill"]),
+                st.sampled_from(["assign", "assign", "start", "start",
+                                 "complete", "stale", "fail", "tick",
+                                 "tick", "kill"]),
                 st.integers(0, 2)),
-            max_size=150),
+            min_size=20, max_size=150),
     )
     def test_any_failure_sequence_yields_each_chunk_once(
-            self, n_chunks, ops):
-        """Any interleaving of dispatch, completion, and worker
-        death still runs every chunk exactly once."""
-        ledger = ChunkLedger(n_chunks)
-        holding = {f"w{k}": set() for k in range(3)}
+            self, n_chunks, max_retries, timeout_s, ops):
+        """Any interleaving of dispatch, start, completion (by the
+        holder or a stale worker), failure, expiry on an advancing
+        clock and worker death keeps the books: every chunk completes
+        exactly once, or ShardError is raised exactly when a chunk's
+        attempts exceed max_retries. Stopping early stands in for an
+        abort."""
+        ledger = ChunkLedger(n_chunks, max_retries=max_retries,
+                             timeout_s=timeout_s)
+        # The model: queue order, who holds what, armed deadlines,
+        # charges.
+        pending = list(range(n_chunks))
+        holder, deadline = {}, {}
+        attempts = [0] * n_chunks
+        expiries = 0
+        completed = set()
+        now = 0.0
+        raised = False
+
+        def held_by(worker):
+            return sorted(c for c, w in holder.items() if w == worker)
+
+        def charge(cid):
+            del holder[cid]
+            deadline.pop(cid, None)
+            pending.insert(0, cid)  # retries run before fresh work
+            attempts[cid] += 1
+            return attempts[cid] > max_retries
+
         for op, k in ops:
             worker = f"w{k}"
-            if op == "assign":
-                cid = ledger.assign(worker)
-                if cid is not None:
-                    assert cid not in ledger.done
-                    holding[worker].add(cid)
-            elif op == "complete":
-                if holding[worker]:
-                    cid = holding[worker].pop()
-                    ledger.complete(cid)
-            else:  # kill
-                lost = ledger.requeue_worker(worker)
-                assert set(lost) == holding[worker]
-                holding[worker] = set()
+            exhausted = False
+            try:
+                if op == "assign":
+                    cid = ledger.assign(worker)
+                    assert cid == (pending.pop(0) if pending else None)
+                    if cid is not None:
+                        assert cid not in holder
+                        assert cid not in completed
+                        holder[cid] = worker
+                elif op == "start":
+                    for cid in held_by(worker):
+                        ledger.start(cid, now)
+                        if timeout_s is not None:
+                            deadline.setdefault(cid, now + timeout_s)
+                elif op == "complete" and held_by(worker):
+                    cid = held_by(worker)[0]
+                    assert ledger.complete(cid, worker)
+                    assert cid not in completed
+                    completed.add(cid)
+                    del holder[cid]
+                    deadline.pop(cid, None)
+                elif op == "stale":
+                    # A worker that does not hold the chunk (it died,
+                    # or the chunk timed out) reports on it.
+                    cid = k % n_chunks
+                    stale = next(w for w in ("w0", "w1", "w2")
+                                 if holder.get(cid) != w)
+                    before = (list(ledger.pending),
+                              dict(ledger.in_flight),
+                              set(ledger.done), list(ledger.attempts))
+                    assert not ledger.complete(cid, stale)
+                    assert not ledger.fail(cid, stale, "late")
+                    assert before == (list(ledger.pending),
+                                      dict(ledger.in_flight),
+                                      set(ledger.done),
+                                      list(ledger.attempts))
+                elif op == "fail" and held_by(worker):
+                    cid = held_by(worker)[0]
+                    exhausted = charge(cid)
+                    assert ledger.fail(cid, worker, "boom")
+                elif op == "tick":
+                    now += 0.5 * (k + 1)
+                    # Late chunks are charged in id order; the first
+                    # one out of attempts raises.
+                    expected = []
+                    for cid in sorted(c for c, d in deadline.items()
+                                      if now > d):
+                        expected.append((cid, holder[cid]))
+                        expiries += 1
+                        if charge(cid):
+                            exhausted = True
+                            break
+                    assert ledger.expired(now) == expected
+                elif op == "kill":
+                    lost = ledger.requeue_worker(worker)
+                    assert lost == held_by(worker)
+                    for cid in lost:
+                        del holder[cid]
+                        deadline.pop(cid, None)
+                    pending[:0] = lost
+            except ShardError:
+                raised = True
+            assert raised == exhausted
             ledger.check_invariants()
-        # Drain: one survivor finishes whatever is left.
-        for worker, held in holding.items():
-            for cid in list(held):
-                ledger.complete(cid)
-        while not ledger.finished:
-            cid = ledger.assign("w0")
-            assert cid is not None
-            ledger.complete(cid)
-            ledger.check_invariants()
-        assert ledger.done == set(range(n_chunks))
-        assert not ledger.pending and not ledger.in_flight
+            assert list(ledger.pending) == pending
+            assert ledger.in_flight == holder
+            assert ledger.deadlines == deadline
+            assert ledger.attempts == attempts
+            assert ledger.retries == sum(attempts)
+            assert ledger.timeouts == expiries
+            if raised:
+                break
+        if not raised:
+            # Drain: the holders finish, then one survivor runs the
+            # rest; every chunk completes exactly once.
+            for cid, worker in list(holder.items()):
+                assert ledger.complete(cid, worker)
+                completed.add(cid)
+            while not ledger.finished:
+                cid = ledger.assign("w0")
+                assert cid is not None and cid not in completed
+                assert ledger.complete(cid, "w0")
+                completed.add(cid)
+                ledger.check_invariants()
+            assert completed == ledger.done == set(range(n_chunks))
+            assert not ledger.pending and not ledger.in_flight
 
 
 # -- the read-through cache tier (unit) ------------------------------------
@@ -714,6 +777,17 @@ class TestOwnedPool:
             assert ex._remote_pool.heartbeat_s == 0.25
         finally:
             ex.close()
+
+    def test_close_stops_the_accept_thread(self):
+        def accept_threads():
+            return {t for t in threading.enumerate()
+                    if t.name == "repro-pool-accept"}
+
+        before = accept_threads()
+        pool = WorkerPool(n_workers=0, spawn=False).start()
+        assert accept_threads() - before
+        pool.close()
+        assert not accept_threads() - before
 
     def test_injected_pool_not_closed_by_executor(self, shared_pool):
         ex = remote_executor(shared_pool)

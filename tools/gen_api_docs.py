@@ -357,12 +357,12 @@ seeds (`numpy.random.SeedSequence.spawn` via
 `repro._rng.spawn_seeds`), and telemetry that merges back into the
 parent registry so an N-worker run reads identically to serial.
 
-`Executor` picks the backend (`serial`, `thread`, `process`),
-chunks the work queue, retries failed or crashed shards up to
-`max_retries`, and enforces per-chunk timeouts. `ShardPlan`
-partitions grids (`for_grid`), bit budgets (`for_range`), and
-touchdown site lists (`for_touchdowns`), then reassembles results
-in canonical order:
+`Executor` picks the backend (`serial`, `thread`, `process`, or
+`remote`, below), chunks the work queue, retries failed or crashed
+shards up to `max_retries`, and enforces per-chunk timeouts.
+`ShardPlan` partitions grids (`for_grid`), bit budgets
+(`for_range`), and touchdown site lists (`for_touchdowns`), then
+reassembles results in canonical order:
 
 ```python
 from repro.host.shmoo import ShmooRunner
@@ -434,12 +434,8 @@ an oversized chunk or result fails fast with advice to lower
 answer pings from a dedicated reader thread, so a *busy* worker
 still pongs and only a dead or frozen process goes silent; a
 worker declared dead has its in-flight chunks requeued to
-survivors (chunk failures, by contrast, charge
-`Executor.max_retries`). The requeue ledger is a pure state
-machine (`ChunkLedger`), property-tested in
-`tests/test_parallel_remote.py` so that *any* interleaving of
-completions and worker deaths still yields exactly-once canonical
-reassembly.
+survivors (chunk failures and timeouts, by contrast, charge
+`Executor.max_retries`).
 
 **Shared read-through cache.** With an `ArtifactCache` active on
 the master (or passed as `WorkerPool(cache=...)`), workers resolve
@@ -450,11 +446,23 @@ every other worker through the master — cross-worker hits are the
 reason the 4-worker shmoo point holds its >= 2.5x floor. Wire
 failures degrade to a local miss, never an error.
 
-**Backends are pluggable.** `register_backend(name, runner)` adds
-a strategy; `registered_backends()` lists them, and an unknown
-`backend=` raises a `ConfigurationError` naming the registered
-set. Submit-time validation fails fast with an actionable message
-when the work function is unpicklable or lives in `__main__`
+**Four fixed backends, one set of books.** `backend=` is one of
+`serial`, `thread`, `process` or `remote`; any other name raises a
+`ConfigurationError` naming all four. Every backend keeps its books
+in one `ChunkLedger`: attempts, the retry budget, deadlines,
+timeouts and stale-result rejection live there and nowhere else,
+and each backend's loop keeps only its transport's work (running
+inline, submitting futures, moving frames). The ledger is a pure
+state machine, property-tested in `tests/test_parallel_remote.py`
+so that *any* interleaving of dispatch, completion, failure,
+expiry and worker death completes every chunk exactly once, or
+raises `ShardError` exactly when a chunk runs out of retries. A
+timed-out chunk is abandoned on `thread`, has its pool's worker
+processes terminated on `process`, and fails its worker on
+`remote`; `serial` never times out. Only `process` and `remote`
+ship work to another process. Submit-time validation fails fast
+with an actionable message when the work function is unpicklable
+or lives in `__main__`
 (remote workers cannot import a script's `__main__`) instead of
 dying opaquely on a worker.
 
