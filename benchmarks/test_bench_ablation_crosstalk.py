@@ -7,7 +7,6 @@ below the paper's numbers?
 """
 
 import numpy as np
-import pytest
 
 from _report import report
 from conftest import one_shot
@@ -72,53 +71,6 @@ def test_ablation_crosstalk_levels(benchmark):
     assert all(a <= b + 0.5 for a, b in zip(jitters, jitters[1:]))
     assert results[0.10].jitter_pp > results[0.0].jitter_pp + 5.0
     assert results[0.02].eye_opening_ui > 0.9
-
-
-def test_ablation_crosstalk_levels_batched(benchmark):
-    """The same coupling sweep through the batched matrix path.
-
-    Each sweep point couples all five channels with one
-    coupling-matrix product instead of the per-pair dict loop; the
-    victim's measured eye must agree with the scalar sweep within
-    the documented batch tolerances (metrics are compared at
-    measurement precision, far above XTALK_EQUIVALENCE_RTOL).
-    """
-    from repro.signal.waveform import WaveformBatch
-
-    names, waveforms = _five_channels()
-    batch = WaveformBatch.from_waveforms(
-        [waveforms[n] for n in names])
-
-    def sweep():
-        out = {}
-        for coupling in (0.02, 0.05, 0.10):
-            matrix = CrosstalkMatrix(
-                names, adjacent=CouplingSpec(coupling=coupling)
-            )
-            victim = matrix.apply_batch(batch).row(
-                names.index("data1"))
-            out[coupling] = measure_eye(
-                EyeDiagram.from_waveform(victim, 2.5)
-            )
-        return out
-
-    results = one_shot(benchmark, sweep)
-    report(
-        "Ablation — coupling sweep via the batched matrix path",
-        ("coupling", "jitter p-p", "opening"),
-        [(f"{c * 100:.0f}%", f"{m.jitter_pp:.1f} ps",
-          f"{m.eye_opening_ui:.2f} UI")
-         for c, m in results.items()],
-    )
-    for coupling, batched_m in results.items():
-        matrix = CrosstalkMatrix(
-            names, adjacent=CouplingSpec(coupling=coupling))
-        scalar_m = measure_eye(EyeDiagram.from_waveform(
-            matrix.apply(waveforms)["data1"], 2.5))
-        assert batched_m.jitter_pp == \
-            pytest.approx(scalar_m.jitter_pp, abs=1e-6)
-        assert batched_m.eye_height == \
-            pytest.approx(scalar_m.eye_height, abs=1e-9)
 
 
 def test_ablation_skewed_aggressor_hits_eye_center(benchmark):

@@ -70,11 +70,12 @@ def test_batched_array_throughput(benchmark):
     channel. Those are one-row calls into the same kernels, so the
     loop no longer pays per-channel filter design or edge-template
     setup (both memoized), only per-call overhead: cache and
-    telemetry resolution, 64 small NumPy passes per stage instead of
-    one, and the crosstalk dict path's per-pair adds. This bench pins
-    the batched path at >= 3x the loop (best of three rounds each) on
-    the full PRBS -> NRZ -> channel -> crosstalk -> eye pipeline, and
-    records the aggregate simulated throughput.
+    telemetry resolution, and 64 small NumPy passes per stage instead
+    of one. Crosstalk is one coupling block on both sides: the dict
+    ``apply`` stacks its channels into ``apply_batch``. This bench
+    pins the batched path at >= 3x the loop (best of three rounds
+    each) on the full PRBS -> NRZ -> channel -> crosstalk -> eye
+    pipeline, and records the aggregate simulated throughput.
     """
     n_channels, n_bits, rate, dt = 64, 256, 10.0, 25.0
     bits = np.stack([prbs_bits(7, n_bits, seed=s + 1)
@@ -121,8 +122,7 @@ def test_batched_array_throughput(benchmark):
     )
     assert len(eyes) == n_channels
     # The batched pipeline folds the same eyes the loop does
-    # (crosstalk mixing agrees to rounding; crossing counts are
-    # integer-exact).
+    # (crossing counts are integer-exact).
     for eye, ref in zip(eyes, loop_eyes):
         assert eye.n_crossings == ref.n_crossings
     assert speedup >= 3.0, (

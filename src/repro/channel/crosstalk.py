@@ -6,6 +6,12 @@ trace coupling is the signal-integrity hazard both layouts fight.
 The model couples a fraction of each aggressor's *edge energy*
 (crosstalk is capacitive/inductive: proportional to dV/dt) into the
 victim.
+
+A :class:`CrosstalkMatrix` couples a whole channel group in one
+block (:meth:`CrosstalkMatrix.apply_batch`); its dict form stacks
+the channels it is given into that block. :func:`coupled_noise` and
+:func:`apply_crosstalk` are the single-victim helpers: they take an
+aggressor on any time grid (a skewed neighbour, say).
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.signal.waveform import Waveform, WaveformBatch
 
-#: Documented equivalence tolerances of the batched coupling-matrix
-#: path versus the sequential per-pair dict path. The batch mixes
-#: derivatives with one matrix product before smoothing (convolution
-#: and the coupling mix are both linear, so they commute), which
-#: reorders float additions; results agree to rounding, not bitwise.
+#: Documented equivalence tolerances of the coupling-matrix block
+#: versus a sequential per-pair sum of :func:`coupled_noise` terms
+#: (the reference ``tests/test_batch_equivalence.py`` keeps). The
+#: block mixes derivatives with one matrix product before smoothing
+#: (convolution and the coupling mix are both linear, so they
+#: commute), which reorders float additions; results agree to
+#: rounding, not bitwise.
 XTALK_EQUIVALENCE_RTOL = 1e-9
 XTALK_EQUIVALENCE_ATOL = 1e-12
 
@@ -121,29 +129,23 @@ class CrosstalkMatrix:
         """Couple every channel into its neighbours.
 
         Missing channels (quiet lines) neither aggress nor receive.
+        The channels given are stacked in routing order and coupled
+        as one :meth:`apply_batch` block, so they must share one time
+        grid (:class:`ConfigurationError` otherwise).
         """
         unknown = set(waveforms) - set(self.names)
         if unknown:
             raise ConfigurationError(
                 f"channels not in the matrix: {sorted(unknown)}"
             )
-        out: Dict[str, Waveform] = {}
-        for i, victim_name in enumerate(self.names):
-            if victim_name not in waveforms:
-                continue
-            victim = waveforms[victim_name]
-            for j, aggressor_name in enumerate(self.names):
-                if aggressor_name == victim_name \
-                        or aggressor_name not in waveforms:
-                    continue
-                spec = self._spec_for(i, j)
-                if spec is None:
-                    continue
-                victim = victim + coupled_noise(
-                    waveforms[aggressor_name], spec
-                )
-            out[victim_name] = victim
-        return out
+        present = [name for name in self.names if name in waveforms]
+        if not present:
+            return {}
+        mixed = self.apply_batch(
+            WaveformBatch.from_waveforms(
+                [waveforms[name] for name in present]),
+            names=present)
+        return dict(zip(present, mixed))
 
     def coupling_weights(self, names: Sequence[str] = None
                          ) -> Dict[float, np.ndarray]:
@@ -185,16 +187,15 @@ class CrosstalkMatrix:
                     names: Sequence[str] = None) -> WaveformBatch:
         """Couple every row of *batch* into its neighbours at once.
 
-        The batched counterpart of :meth:`apply`: one ``gradient``
-        over the block, one coupling-matrix product per distinct
-        rise scale, and one smoothing pass over the mixed
-        derivatives (mixing and smoothing are both linear, so they
-        commute with the per-pair order of :meth:`apply`). Row *k*
-        of the result corresponds to ``names[k]`` (default: the
-        matrix's channel order; a subset models quiet lines exactly
-        like a partial dict). Equivalent to the dict path within
-        ``XTALK_EQUIVALENCE_RTOL``/``ATOL`` — the reordered float
-        sums agree to rounding, not bitwise.
+        One ``gradient`` over the block, one coupling-matrix product
+        per distinct rise scale, and one smoothing pass over the
+        mixed derivatives (mixing and smoothing are both linear, so
+        they commute with a per-pair sum of :func:`coupled_noise`
+        terms). Row *k* of the result corresponds to ``names[k]``
+        (default: the matrix's channel order; a subset models quiet
+        lines). :meth:`apply` is the dict form. Equivalent to the
+        per-pair sum within ``XTALK_EQUIVALENCE_RTOL``/``ATOL`` — the
+        reordered float sums agree to rounding, not bitwise.
         """
         if names is None:
             names = self.names

@@ -5,11 +5,17 @@ at a nominal 2.5 Gbps, each an 8:1 PECL serializer behind a SiGe
 output buffer, plus a slower Frame bit and four Header channels
 straight off DLC pins. Output levels are adjustable per Figures 10
 and 11 to stress the Data Vortex under non-ideal conditions.
+
+A packet slot (Figure 4) sends all of these together, so
+:meth:`OpticalTestBed.transmit_slot` renders them as blocks: one per
+run of neighbouring same-configuration high-speed channels, one for
+Frame and Header, and one coupling block for board crosstalk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import itertools
+from typing import Dict, List
 
 import numpy as np
 
@@ -66,9 +72,17 @@ class OpticalTestBed(TestSystem):
         #: Receive side for coded channels (shares the codec).
         self.receiver = PECLReceiver(buffer_spec=SIGE_BUFFER,
                                      encoding=self.codec)
+        if crosstalk is not None:
+            foreign = set(crosstalk.names) - set(self.channels)
+            if foreign:
+                raise ConfigurationError(
+                    f"crosstalk names {sorted(foreign)} are not "
+                    f"high-speed channels; have {sorted(self.channels)}"
+                )
         #: Optional board-level coupling between the high-speed
         #: channels (a :class:`repro.channel.crosstalk
-        #: .CrosstalkMatrix` over this bed's channel names).
+        #: .CrosstalkMatrix` over some of this bed's high-speed
+        #: channel names; the others pass through uncoupled).
         self.crosstalk = crosstalk
 
     def _make_tx(self) -> PECLTransmitter:
@@ -92,7 +106,17 @@ class OpticalTestBed(TestSystem):
         High-speed channels (clock + data) go through the PECL
         serializer path; Frame and Header channels are driven at the
         bit-period granularity directly from DLC-grade outputs
-        (slower edges, CMOS-grade jitter).
+        (slower edges, CMOS-grade jitter). The channels render as
+        blocks: each run of neighbouring high-speed channels (clock,
+        data0, data1, ...) that share a transmit configuration is one
+        :meth:`~repro.pecl.transmitter.PECLTransmitter
+        .transmit_serial_batch` call, and Frame and Header are one
+        slow block. The runs draw jitter in channel order, so the
+        result is bit-identical to rendering each channel on its own
+        from the same generator. Board crosstalk couples the
+        channels the matrix names as one block, so they must share
+        one time grid: a delay code on one of them raises
+        :class:`ConfigurationError`. The others pass through.
         """
         if slot.fmt.rate_gbps != self.rate_gbps:
             raise ConfigurationError(
@@ -104,96 +128,39 @@ class OpticalTestBed(TestSystem):
             rng = np.random.default_rng(seed)
             out: Dict[str, Waveform] = {}
             streams = slot.all_channels()
-            for name in ["clock"] + [f"data{i}" for i in
-                                     range(self.n_data_channels)]:
-                tx = self.channels[name]
-                out[name] = tx.transmit_serial(
-                    streams[name], self.rate_gbps, rng=rng, dt=dt
+            high_speed = ["clock"] + [f"data{i}" for i in
+                                      range(self.n_data_channels)]
+            for _, run in itertools.groupby(high_speed,
+                                            key=self._transmit_key):
+                names = list(run)
+                block = self.channels[names[0]].transmit_serial_batch(
+                    np.stack([streams[n] for n in names]),
+                    self.rate_gbps, rng=rng, dt=dt,
                 )
+                out.update(zip(names, block))
             # Frame + header: lower-speed CMOS outputs (~8x slower
             # edges).
             slow = NRZEncoder(self.rate_gbps, v_low=0.0, v_high=2.5,
                               t20_80=400.0, dt=dt)
-            for name, bits in streams.items():
-                if name.startswith("frame") or name.startswith("header"):
-                    out[name] = slow.encode(bits, rng=rng)
-            if self.crosstalk is not None:
-                coupled = self.crosstalk.apply({
-                    name: wf for name, wf in out.items()
-                    if name in self.channels
-                })
-                out.update(coupled)
-            tel.counter("testbed.slots_transmitted").inc()
-            tel.counter("testbed.channel_waveforms").inc(len(out))
-            return out
-
-    def transmit_slot_batch(self, slot: PacketSlot, seed: int = 0,
-                            dt: float = 1.0) -> Dict[str, Waveform]:
-        """Batched :meth:`transmit_slot`: channels rendered as blocks.
-
-        High-speed channels are grouped by transmit configuration
-        (levels, buffer grade, jitter budget, delay code) and each
-        group renders through one
-        :meth:`~repro.pecl.transmitter.PECLTransmitter
-        .transmit_serial_batch` call; Frame and Header channels
-        render as one slow batch; board crosstalk applies as one
-        coupling-matrix product. Returns the same per-channel dict
-        as :meth:`transmit_slot` (rows are zero-copy batch views).
-        With crosstalk disabled the slow channels are bit-identical
-        to the scalar path; the jittered high-speed channels are
-        statistically equivalent (one RNG draw order per group, not
-        per channel).
-        """
-        if slot.fmt.rate_gbps != self.rate_gbps:
-            raise ConfigurationError(
-                f"slot format is {slot.fmt.rate_gbps} Gbps; test bed "
-                f"runs {self.rate_gbps} Gbps"
-            )
-        tel = telemetry.resolve(self.telemetry)
-        with tel.span("testbed.transmit_slot_batch"):
-            rng = np.random.default_rng(seed)
-            out: Dict[str, Waveform] = {}
-            streams = slot.all_channels()
-            groups: Dict[tuple, List[str]] = {}
-            for name in ["clock"] + [f"data{i}" for i in
-                                     range(self.n_data_channels)]:
-                tx = self.channels[name]
-                key = (tx.output_buffer.spec, tx.levels.v_low,
-                       tx.levels.v_high, tx.delay_line.code,
-                       tx.path_jitter_budget())
-                groups.setdefault(key, []).append(name)
-            for names in groups.values():
-                tx = self.channels[names[0]]
-                batch = tx.transmit_serial_batch(
-                    np.stack([np.asarray(streams[n]) for n in names]),
-                    self.rate_gbps, rng=rng, dt=dt,
-                )
-                for k, name in enumerate(names):
-                    out[name] = batch.row(k)
-            slow = NRZEncoder(self.rate_gbps, v_low=0.0, v_high=2.5,
-                              t20_80=400.0, dt=dt)
             slow_names = [name for name in streams
-                          if name.startswith("frame")
-                          or name.startswith("header")]
-            if slow_names:
-                slow_batch = slow.encode_batch(
-                    np.stack([np.asarray(streams[n])
-                              for n in slow_names]), rng=rng)
-                for k, name in enumerate(slow_names):
-                    out[name] = slow_batch.row(k)
+                          if name.startswith(("frame", "header"))]
+            out.update(zip(slow_names, slow.encode_batch(
+                np.stack([streams[n] for n in slow_names]),
+                rng=rng)))
             if self.crosstalk is not None:
-                present = [name for name in self.crosstalk.names
-                           if name in out and name in self.channels]
-                if present:
-                    stacked = WaveformBatch.from_waveforms(
-                        [out[name] for name in present])
-                    mixed = self.crosstalk.apply_batch(stacked,
-                                                       names=present)
-                    for k, name in enumerate(present):
-                        out[name] = mixed.row(k)
+                out.update(self.crosstalk.apply(
+                    {name: out[name] for name in self.crosstalk.names}))
             tel.counter("testbed.slots_transmitted").inc()
             tel.counter("testbed.channel_waveforms").inc(len(out))
             return out
+
+    def _transmit_key(self, name: str) -> tuple:
+        """What a channel's render depends on beyond its bits;
+        neighbours with equal keys render as one block."""
+        tx = self.channels[name]
+        return (tx.output_buffer.spec, tx.levels.v_low,
+                tx.levels.v_high, tx.delay_line.code,
+                tx.path_jitter_budget())
 
     def transmit_packets(self, slots: List[PacketSlot],
                          seed: int = 0) -> Dict[str, Waveform]:

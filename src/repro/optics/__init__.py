@@ -9,13 +9,7 @@ photodetector+TIA receiver.
 """
 
 from repro.optics.laser import LaserDriver, LaserSpec, WavelengthChannel
-from repro.optics.wdm import (
-    WDMMux,
-    WDMDemux,
-    wavelength_grid,
-    stack_channels,
-    unstack_channels,
-)
+from repro.optics.wdm import WDMMux, WDMDemux, wavelength_grid
 from repro.optics.fiber import FiberSpan
 from repro.optics.photodetector import Photodetector
 from repro.optics.link import OpticalLink, LinkBudget
@@ -27,8 +21,6 @@ __all__ = [
     "WDMMux",
     "WDMDemux",
     "wavelength_grid",
-    "stack_channels",
-    "unstack_channels",
     "FiberSpan",
     "Photodetector",
     "OpticalLink",

@@ -9,47 +9,11 @@ demux separates them again with finite channel isolation
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.optics.laser import WavelengthChannel
-from repro.signal.waveform import Waveform, WaveformBatch
-
-#: Documented equivalence tolerances of the batched demux (one
-#: leakage-matrix product) versus the sequential per-port dict path;
-#: the matrix product reorders the neighbour additions, so the two
-#: agree to float rounding, not bitwise.
-WDM_EQUIVALENCE_RTOL = 1e-12
-WDM_EQUIVALENCE_ATOL = 1e-15
-
-
-def stack_channels(channels: Dict[WavelengthChannel, Waveform]
-                   ) -> Tuple[WaveformBatch, List[WavelengthChannel]]:
-    """``(batch, channel_order)`` from a per-wavelength dict.
-
-    Rows are sorted by wavelength index so batched mux/demux
-    matrices line up with spectral adjacency; all waveforms must
-    share one time grid.
-    """
-    if not channels:
-        raise ConfigurationError("nothing to stack")
-    order = sorted(channels, key=lambda ch: ch.index)
-    batch = WaveformBatch.from_waveforms([channels[ch] for ch in order])
-    return batch, order
-
-
-def unstack_channels(batch: WaveformBatch,
-                     order: Sequence[WavelengthChannel]
-                     ) -> Dict[WavelengthChannel, Waveform]:
-    """Inverse of :func:`stack_channels`: rows back into a dict."""
-    if batch.n_channels != len(order):
-        raise ConfigurationError(
-            f"batch has {batch.n_channels} rows for "
-            f"{len(order)} channels"
-        )
-    return {ch: batch.row(i) for i, ch in enumerate(order)}
+from repro.signal.waveform import Waveform
 
 
 def wavelength_grid(n_channels: int, start_nm: float = 1546.0,
@@ -99,17 +63,6 @@ class WDMMux:
                 )
             seen.add(ch.index)
         return {ch: wf.scaled(self.gain) for ch, wf in channels.items()}
-
-    def combine_batch(self, batch: WaveformBatch) -> WaveformBatch:
-        """Batched :meth:`combine`: every row scaled in one pass.
-
-        Rows are per-wavelength power waveforms (one wavelength per
-        row, as produced by :func:`stack_channels`, which enforces
-        index uniqueness). Bit-identical per row to :meth:`combine`.
-        """
-        if not batch.n_channels:
-            raise ConfigurationError("nothing to combine")
-        return batch.scaled(self.gain)
 
     def total_power(self, channels: Dict[WavelengthChannel, Waveform]
                     ) -> Waveform:
@@ -169,41 +122,3 @@ class WDMDemux:
                     port = port + n_wf.scaled(self.gain * self.crosstalk)
             out[ch] = port
         return out
-
-    def leakage_matrix(self, indices: Sequence[int]) -> np.ndarray:
-        """Port mixing matrix for rows at wavelength *indices*.
-
-        ``M[i, i]`` is the through gain; ``M[i, j]`` is the leakage
-        gain for spectrally adjacent rows (``|index_i - index_j| ==
-        1``); all other entries are zero.
-        """
-        indices = list(indices)
-        if len(set(indices)) != len(indices):
-            raise ConfigurationError("wavelength indices must be unique")
-        m = np.zeros((len(indices), len(indices)))
-        for a, i in enumerate(indices):
-            for b, j in enumerate(indices):
-                if a == b:
-                    m[a, b] = self.gain
-                elif abs(i - j) == 1:
-                    m[a, b] = self.gain * self.crosstalk
-        return m
-
-    def split_batch(self, batch: WaveformBatch,
-                    indices: Sequence[int]) -> WaveformBatch:
-        """Batched :meth:`split`: one leakage-matrix product.
-
-        *indices* gives each row's wavelength index (the adjacency
-        the isolation applies to). Matches the dict path within
-        ``WDM_EQUIVALENCE_RTOL``/``ATOL`` — the matrix product
-        reorders the neighbour additions.
-        """
-        if not batch.n_channels:
-            raise ConfigurationError("nothing to split")
-        if batch.n_channels != len(indices):
-            raise ConfigurationError(
-                f"batch has {batch.n_channels} rows for "
-                f"{len(indices)} indices"
-            )
-        mixed = self.leakage_matrix(indices) @ batch.values
-        return WaveformBatch(mixed, dt=batch.dt, t0=batch.t0)

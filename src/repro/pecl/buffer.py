@@ -150,9 +150,10 @@ class OutputBuffer:
         One :meth:`NRZEncoder.encode_batch` call renders every
         channel's analog output through the shared edge template;
         :meth:`drive` is the one-row case. The jitter budget's
-        offsets are drawn once over all channels' concatenated
-        edges, so results are statistically (not bit-) identical to
-        per-channel :meth:`drive` calls.
+        offsets are drawn once over all channels' edges in row-major
+        order; a built budget draws from *rng* once per call, so the
+        block is bit-identical to per-channel :meth:`drive` calls
+        sharing *rng* (see :meth:`NRZEncoder.encode_batch`).
         """
         self.check_rate(rate_gbps)
         budget = self.jitter_budget

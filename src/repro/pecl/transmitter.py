@@ -161,8 +161,9 @@ class PECLTransmitter:
         the serializer's rate ceilings, and the programmed delay
         applied to every row; :meth:`transmit_serial` is the one-row
         case. Jitter offsets are drawn once across all rows' edges
-        (statistically, not bit-, identical to the per-channel
-        loop).
+        in row order, and the budget draws from *rng* once per call,
+        so the block is bit-identical to per-channel
+        :meth:`transmit_serial` calls sharing *rng*.
         """
         if isinstance(self.serializer, TwoStageSerializer):
             self.serializer.stage_a.check_rates(rate_gbps / 2.0,

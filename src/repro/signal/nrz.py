@@ -145,12 +145,16 @@ class NRZEncoder:
         Every channel is rendered through one flattened kernel pass
         (:func:`repro.signal._kernels.render_nrz_batch`) sharing a
         single edge template, with no per-channel Python loop;
-        :meth:`encode` is the one-row case. The output is
-        *bit-identical* per row to calling :meth:`encode` on each
-        channel when *jitter* is None; with a jitter model the
-        offsets are drawn in one call over the concatenated edges,
-        so the RNG consumption order differs from the per-channel
-        loop (statistically equivalent, not bit-identical).
+        :meth:`encode` is the one-row case. Without jitter the output
+        is *bit-identical* per row to calling :meth:`encode` on each
+        channel. With a jitter model the offsets come from one
+        ``jitter.offsets`` call over every row's edges in row-major
+        order. When the model draws from *rng* once per call, that
+        equals a loop of :meth:`encode` calls sharing *rng*, bitwise;
+        every :meth:`~repro.signal.jitter.JitterBudget.build` model
+        does (only its one ``RandomJitter`` draws). A model that
+        draws more than once per call, such as a ``CompositeJitter``
+        of two ``RandomJitter``, consumes *rng* in another order.
 
         Caching composes per row: each channel is keyed with the
         *same* digest formula as the single-channel path, so batched

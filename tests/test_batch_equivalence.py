@@ -1,21 +1,26 @@
 """Golden equivalence suite for the batched signal path.
 
 The scalar entry points of the NRZ, LTI, fold, and accumulator
-stages are one-row calls into the batched ones, so each stage is
-checked against an independent reference that does not call the
+stages are one-row calls into the batched ones, and the crosstalk
+dict form stacks its channels into the coupling block, so each stage
+is checked against an independent reference that does not call the
 production batch code: the single-record ``render_nrz`` and
 ``_reference_sosfilt_batch`` kept in
 ``tests/test_kernels_equivalence.py``, a fold built on
-``threshold_crossings``, and a one-shot ``np.histogram2d`` density.
-The contract per stage:
+``threshold_crossings``, a one-shot ``np.histogram2d`` density, and
+a per-pair ``coupled_noise`` sum for crosstalk. The contract per
+stage:
 
-* NRZ render, LTI filtering, eye folding, accumulator grids, and
-  the WDM mux are **bit-identical** per row (shared kernels, per-row
-  disjoint reductions), and so are the scalar entry points.
-* Crosstalk mixing and the WDM demux reorder float additions (one
-  matrix product instead of the dict paths' sequential per-pair
-  adds) and are pinned to the documented tolerances
-  ``XTALK_EQUIVALENCE_RTOL/ATOL`` and ``WDM_EQUIVALENCE_RTOL/ATOL``.
+* NRZ render, LTI filtering, eye folding, and accumulator grids are
+  **bit-identical** per row (shared kernels, per-row disjoint
+  reductions), and so are the scalar entry points.
+* Crosstalk mixing reorders float additions (one matrix product
+  instead of sequential per-pair adds) and is pinned to the
+  documented tolerances ``XTALK_EQUIVALENCE_RTOL/ATOL``.
+* Jittered multi-row renders equal sequential one-row calls that
+  share one generator, bitwise, because every built jitter budget
+  draws from the RNG once per call. The test bed's block slot render
+  is pinned bitwise to a per-channel loop on that basis.
 
 Cache composition is part of the contract: batched stages key each
 row with the *same* digest formula as the single-channel path, so
@@ -36,23 +41,15 @@ from repro.channel.crosstalk import (
     XTALK_EQUIVALENCE_RTOL,
     CouplingSpec,
     CrosstalkMatrix,
+    coupled_noise,
 )
 from repro.channel.lti import IdealChannel, LTIChannel
 from repro.errors import ConfigurationError, MeasurementError
 from repro.eye import EyeAccumulator, EyeDiagram
 from repro.eye._binning import fold_phases
-from repro.optics.laser import WavelengthChannel
-from repro.optics.wdm import (
-    WDM_EQUIVALENCE_ATOL,
-    WDM_EQUIVALENCE_RTOL,
-    WDMDemux,
-    WDMMux,
-    stack_channels,
-    unstack_channels,
-)
 from repro.signal.analysis import threshold_crossings
 from repro.signal.edges import EdgeShape
-from repro.signal.jitter import JitterBudget
+from repro.signal.jitter import CompositeJitter, JitterBudget, RandomJitter
 from repro.signal.nrz import NRZEncoder
 from repro.signal.prbs import prbs_bits
 from repro.signal.waveform import Waveform, WaveformBatch
@@ -126,6 +123,26 @@ def _reference_fold(wf, rate_gbps):
     phases = fold_phases(window.t0, wf.dt, len(window), ui)
     crossings = threshold_crossings(window, threshold)
     return threshold, phases, window.values, np.mod(crossings, ui)
+
+
+def _reference_crosstalk(matrix, waveforms):
+    """``matrix.apply(waveforms)`` as a sequential per-pair sum of
+    ``coupled_noise`` terms, victims and aggressors in routing order;
+    channels missing from *waveforms* neither aggress nor receive."""
+    specs = {1: matrix.adjacent, 2: matrix.next_adjacent}
+    out = {}
+    for i, victim_name in enumerate(matrix.names):
+        if victim_name not in waveforms:
+            continue
+        victim = waveforms[victim_name]
+        for j, aggressor_name in enumerate(matrix.names):
+            spec = specs.get(abs(i - j))
+            if spec is None or aggressor_name not in waveforms:
+                continue
+            victim = victim + coupled_noise(waveforms[aggressor_name],
+                                            spec)
+        out[victim_name] = victim
+    return out
 
 
 def _batch_from_bits(bits, rate=2.5, t20_80=72.0,
@@ -208,8 +225,9 @@ class TestNRZGoldenEquivalence:
             assert np.array_equal(batch.values[i], ref.values)
 
     def test_jittered_batch_statistics(self):
-        """With jitter the batch is statistically, not bitwise,
-        equivalent: same edge count, offsets within the budget."""
+        """Jitter moves the edges but not the rails. (How the rows'
+        draws line up with a per-row loop is pinned in
+        ``TestJitteredBlockContract``.)"""
         bits = np.stack([prbs_bits(7, 400) for _ in range(4)])
         enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
         jit = JitterBudget(rj_rms=3.0)
@@ -258,7 +276,8 @@ class TestLTIGoldenEquivalence:
 
 
 class TestCrosstalkGoldenEquivalence:
-    """apply_batch == sequential dict apply within pinned tolerances."""
+    """apply_batch rows and the dict apply == the per-pair reference
+    within pinned tolerances."""
 
     def _names_and_waveforms(self, n_rows, seed=0):
         names = [f"ch{i}" for i in range(n_rows)]
@@ -267,34 +286,43 @@ class TestCrosstalkGoldenEquivalence:
         _, batch, rows = _batch_from_bits(bits)
         return names, batch, dict(zip(names, rows))
 
+    @staticmethod
+    def _assert_close(got, ref):
+        np.testing.assert_allclose(got, ref,
+                                   rtol=XTALK_EQUIVALENCE_RTOL,
+                                   atol=XTALK_EQUIVALENCE_ATOL)
+
     @given(n_rows=st.integers(2, 6), seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_matches_dict_path(self, n_rows, seed):
         names, batch, waveforms = self._names_and_waveforms(
             n_rows, seed)
         matrix = CrosstalkMatrix(names)
-        ref = matrix.apply(waveforms)
+        ref = _reference_crosstalk(matrix, waveforms)
         out = matrix.apply_batch(batch)
+        applied = matrix.apply(waveforms)
+        assert list(applied) == names
         for i, name in enumerate(names):
-            np.testing.assert_allclose(
-                out.values[i], ref[name].values,
-                rtol=XTALK_EQUIVALENCE_RTOL,
-                atol=XTALK_EQUIVALENCE_ATOL)
+            self._assert_close(out.values[i], ref[name].values)
+            assert applied[name].dt == ref[name].dt
+            assert applied[name].t0 == ref[name].t0
+            self._assert_close(applied[name].values, ref[name].values)
 
     def test_subset_matches_partial_dict(self):
-        """Quiet lines: a subset batch couples like a partial dict."""
+        """Quiet lines: a subset batch and a partial dict couple like
+        the reference over the channels present."""
         names, batch, waveforms = self._names_and_waveforms(5, 9)
         matrix = CrosstalkMatrix(names)
         subset = [names[0], names[2], names[3]]
-        sub_batch = WaveformBatch.from_waveforms(
-            [waveforms[n] for n in subset])
-        ref = matrix.apply({n: waveforms[n] for n in subset})
-        out = matrix.apply_batch(sub_batch, names=subset)
+        partial = {n: waveforms[n] for n in subset}
+        ref = _reference_crosstalk(matrix, partial)
+        out = matrix.apply_batch(
+            WaveformBatch.from_waveforms(list(partial.values())),
+            names=subset)
+        applied = matrix.apply(partial)
         for i, name in enumerate(subset):
-            np.testing.assert_allclose(
-                out.values[i], ref[name].values,
-                rtol=XTALK_EQUIVALENCE_RTOL,
-                atol=XTALK_EQUIVALENCE_ATOL)
+            self._assert_close(out.values[i], ref[name].values)
+            self._assert_close(applied[name].values, ref[name].values)
 
     def test_distinct_rise_scales(self):
         names, batch, waveforms = self._names_and_waveforms(4, 2)
@@ -303,61 +331,26 @@ class TestCrosstalkGoldenEquivalence:
             adjacent=CouplingSpec(coupling=0.04, rise_scale_ps=60.0),
             next_adjacent=CouplingSpec(coupling=0.01,
                                        rise_scale_ps=25.0))
-        ref = matrix.apply(waveforms)
+        ref = _reference_crosstalk(matrix, waveforms)
         out = matrix.apply_batch(batch)
         for i, name in enumerate(names):
-            np.testing.assert_allclose(
-                out.values[i], ref[name].values,
-                rtol=XTALK_EQUIVALENCE_RTOL,
-                atol=XTALK_EQUIVALENCE_ATOL)
+            self._assert_close(out.values[i], ref[name].values)
+
+    def test_empty_dict(self):
+        names, _, _ = self._names_and_waveforms(3)
+        assert CrosstalkMatrix(names).apply({}) == {}
+
+    def test_rows_on_different_grids_rejected(self):
+        names, _, waveforms = self._names_and_waveforms(3)
+        waveforms[names[1]] = waveforms[names[1]].shifted(200.0)
+        with pytest.raises(ConfigurationError):
+            CrosstalkMatrix(names).apply(waveforms)
 
     def test_row_count_mismatch_rejected(self):
         names, batch, _ = self._names_and_waveforms(3)
         matrix = CrosstalkMatrix(names + ["extra"])
         with pytest.raises(ConfigurationError):
             matrix.apply_batch(batch)
-
-
-class TestWDMGoldenEquivalence:
-    """Batched mux bitwise; batched demux within pinned tolerances."""
-
-    def _channels(self, n, seed=0):
-        grid = [WavelengthChannel(1546.0 + 0.8 * k, k)
-                for k in range(n)]
-        bits = np.random.default_rng(seed).integers(
-            0, 2, size=(n, 32), dtype=np.int8)
-        _, _, rows = _batch_from_bits(bits, v_low=0.0, v_high=1.0)
-        return dict(zip(grid, rows))
-
-    def test_stack_unstack_roundtrip(self):
-        channels = self._channels(4)
-        batch, order = stack_channels(channels)
-        back = unstack_channels(batch, order)
-        assert set(back) == set(channels)
-        for ch, wf in channels.items():
-            assert np.array_equal(back[ch].values, wf.values)
-
-    def test_combine_batch_bit_identical(self):
-        channels = self._channels(5, 3)
-        mux = WDMMux(insertion_loss_db=1.5)
-        ref = mux.combine(channels)
-        batch, order = stack_channels(channels)
-        out = mux.combine_batch(batch)
-        for i, ch in enumerate(order):
-            assert np.array_equal(out.values[i], ref[ch].values)
-
-    @given(n=st.integers(1, 6), seed=st.integers(0, 50))
-    @settings(max_examples=15, deadline=None)
-    def test_split_batch_matches_dict_path(self, n, seed):
-        channels = self._channels(n, seed)
-        demux = WDMDemux(insertion_loss_db=2.0, isolation_db=28.0)
-        ref = demux.split(channels)
-        batch, order = stack_channels(channels)
-        out = demux.split_batch(batch, [ch.index for ch in order])
-        for i, ch in enumerate(order):
-            np.testing.assert_allclose(
-                out.values[i], ref[ch].values,
-                rtol=WDM_EQUIVALENCE_RTOL, atol=WDM_EQUIVALENCE_ATOL)
 
 
 class TestEyeFoldGoldenEquivalence:
@@ -527,48 +520,114 @@ class TestAccumulatorBatchEquivalence:
             acc.density(channel=0)
 
 
-class TestTestbedBatchEquivalence:
-    """transmit_slot_batch covers the scalar path's channel set."""
+def _reference_slot(bed, slot, seed):
+    """``bed.transmit_slot(slot, seed)`` one channel at a time, before
+    crosstalk: ``transmit_serial`` per high-speed channel (clock,
+    data0, ...), then a slow ``encode`` per Frame/Header line, all on
+    one shared generator."""
+    rng = np.random.default_rng(seed)
+    streams = slot.all_channels()
+    out = {}
+    for name in ["clock"] + [f"data{i}" for i in
+                             range(bed.n_data_channels)]:
+        out[name] = bed.channels[name].transmit_serial(
+            streams[name], bed.rate_gbps, rng=rng)
+    slow = NRZEncoder(bed.rate_gbps, v_low=0.0, v_high=2.5,
+                      t20_80=400.0)
+    for name, bits in streams.items():
+        if name.startswith(("frame", "header")):
+            out[name] = slow.encode(bits, rng=rng)
+    return out
 
-    def _bed_and_slot(self, crosstalk=None):
+
+#: Test-bed configurations as ``(constructor kwargs, [(transmitter
+#: method, channel, value), ...])``. Each reprogrammed channel cuts
+#: the high-speed channels into more same-configuration runs.
+SLOT_CONFIGS = {
+    "default": ({}, []),
+    "swing-data1": ({}, [("set_swing", "data1", 0.6)]),
+    "swing-clock": ({}, [("set_swing", "clock", 0.6)]),
+    "delay-data2": ({}, [("set_delay_code", "data2", 37)]),
+    "two-changed": ({}, [("set_swing", "data1", 0.6),
+                         ("set_high_level", "data3", 2.3)]),
+    "8-data": ({"n_data_channels": 8}, []),
+    "4-gbps": ({"rate_gbps": 4.0}, []),
+}
+
+
+class TestTestbedBatchEquivalence:
+    """transmit_slot's block render == the per-channel reference
+    loop: bitwise without crosstalk, within the crosstalk tolerances
+    with it."""
+
+    @staticmethod
+    def _bed_and_slot(config="default", crosstalk=None):
         from repro.core.packetformat import PacketSlot
         from repro.core.testbed import OpticalTestBed
 
-        bed = OpticalTestBed(crosstalk=crosstalk)
+        kwargs, program = SLOT_CONFIGS[config]
+        bed = OpticalTestBed(crosstalk=crosstalk, **kwargs)
+        for method, channel, value in program:
+            getattr(bed.channels[channel], method)(value)
         slot = PacketSlot.random(bed.fmt, address=3,
                                  rng=np.random.default_rng(1))
         return bed, slot
 
+    @pytest.mark.parametrize("config", list(SLOT_CONFIGS))
+    def test_bit_identical_to_per_channel_loop(self, config):
+        bed, slot = self._bed_and_slot(config)
+        for seed in (0, 4):
+            got = bed.transmit_slot(slot, seed=seed)
+            ref = _reference_slot(bed, slot, seed)
+            assert list(got) == list(ref)
+            for name, wf in ref.items():
+                assert got[name].dt == wf.dt and got[name].t0 == wf.t0
+                assert np.array_equal(got[name].values, wf.values)
+
     def test_channel_set_and_grids_match(self):
-        bed, slot = self._bed_and_slot()
-        scalar = bed.transmit_slot(slot, seed=4)
-        batched = bed.transmit_slot_batch(slot, seed=4)
-        assert set(batched) == set(scalar)
-        for name, wf in scalar.items():
-            assert batched[name].dt == wf.dt
-            assert batched[name].t0 == wf.t0
-            assert len(batched[name]) == len(wf)
+        """Every channel in the loop's order (``receive_slot`` draws
+        its strobe jitter in dict order), on one shared grid unless a
+        delay code moves a channel."""
+        bed, slot = self._bed_and_slot("delay-data2")
+        got = bed.transmit_slot(slot, seed=4)
+        assert list(got) == list(_reference_slot(bed, slot, 4))
+        t0s = {name: wf.t0 for name, wf in got.items()}
+        assert t0s.pop("data2") != t0s["clock"]
+        assert len(set(t0s.values())) == 1
+        assert len({(wf.dt, len(wf)) for wf in got.values()}) == 1
 
     def test_slow_channels_bit_identical(self):
-        """Frame/header render without jitter, so batching cannot
-        change a single sample."""
-        bed, slot = self._bed_and_slot()
-        scalar = bed.transmit_slot(slot, seed=4)
-        batched = bed.transmit_slot_batch(slot, seed=4)
-        for name in scalar:
-            if name.startswith("frame") or name.startswith("header"):
-                assert np.array_equal(batched[name].values,
-                                      scalar[name].values)
-
-    def test_crosstalk_applies_to_batched_slot(self):
+        """Frame and Header are not in the crosstalk matrix, so a
+        coupled bed renders them bit-identical to the loop."""
         matrix = CrosstalkMatrix(
             ["data0", "data1", "data2", "data3", "clock"])
         bed, slot = self._bed_and_slot(crosstalk=matrix)
-        quiet_bed, _ = self._bed_and_slot()
-        coupled = bed.transmit_slot_batch(slot, seed=4)
-        quiet = quiet_bed.transmit_slot_batch(slot, seed=4)
-        assert not np.array_equal(coupled["data1"].values,
-                                  quiet["data1"].values)
+        got = bed.transmit_slot(slot, seed=4)
+        ref = _reference_slot(bed, slot, 4)
+        for name in ref:
+            if name.startswith(("frame", "header")):
+                assert np.array_equal(got[name].values,
+                                      ref[name].values)
+
+    def test_crosstalk_applies_to_batched_slot(self):
+        """The reference loop plus the per-pair crosstalk reference,
+        within the crosstalk tolerances, on one run and on three."""
+        matrix = CrosstalkMatrix(
+            ["data0", "data1", "data2", "data3", "clock"])
+        for config in ("default", "swing-data1"):
+            bed, slot = self._bed_and_slot(config, crosstalk=matrix)
+            got = bed.transmit_slot(slot, seed=4)
+            quiet = _reference_slot(bed, slot, 4)
+            ref = _reference_crosstalk(
+                matrix, {name: quiet[name] for name in matrix.names})
+            assert list(got) == list(quiet)
+            for name, wf in ref.items():
+                np.testing.assert_allclose(
+                    got[name].values, wf.values,
+                    rtol=XTALK_EQUIVALENCE_RTOL,
+                    atol=XTALK_EQUIVALENCE_ATOL)
+            assert not np.array_equal(got["data1"].values,
+                                      quiet["data1"].values)
 
 
 class TestOneRowEntryPoints:
@@ -604,6 +663,80 @@ class TestOneRowEntryPoints:
             block = batched(np.random.default_rng(5))
             assert wf.dt == block.dt and wf.t0 == block.t0
             assert np.array_equal(wf.values, block.values[0])
+
+
+class TestJitteredBlockContract:
+    """A k-row jittered render equals k sequential one-row calls that
+    share one generator, bitwise, when the jitter model draws from
+    the RNG once per call: every ``JitterBudget.build()`` model does
+    (only its one ``RandomJitter`` draws). ``OpticalTestBed
+    .transmit_slot`` renders its channel runs as blocks on this
+    basis."""
+
+    BUDGETS = {
+        "rj-dj": JitterBudget(rj_rms=3.2, dj_pp=23.0),
+        "rj-dj-dcd-pj": JitterBudget(rj_rms=3.2, dj_pp=23.0,
+                                     dcd_pp=6.0, pj_pp=8.0,
+                                     pj_frequency_ghz=0.3),
+    }
+
+    #: Two PRBS rows around an edge-free one.
+    BITS = np.stack([prbs_bits(7, 300, seed=1),
+                     np.ones(300, dtype=np.uint8),
+                     prbs_bits(7, 300, seed=2)])
+
+    @staticmethod
+    def _loop(one_row, bits):
+        """*one_row* called on each row in turn, on one generator."""
+        rng = np.random.default_rng(5)
+        return [one_row(row, rng) for row in bits]
+
+    @pytest.mark.parametrize("budget", list(BUDGETS))
+    def test_block_equals_sequential_one_row_calls(self, budget,
+                                                   monkeypatch):
+        from repro.dlc.clocking import ClockSignal
+        from repro.pecl.buffer import OutputBuffer
+        from repro.pecl.serializer import ParallelToSerial
+        from repro.pecl.transmitter import PECLTransmitter
+
+        budget = self.BUDGETS[budget]
+        jitter = budget.build()
+        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+        buf = OutputBuffer()
+        tx = PECLTransmitter(ParallelToSerial(),
+                             clock=ClockSignal(2.5, 2.5, "rf"),
+                             lane_limit_mbps=800.0)
+        tx.set_delay_code(37)  # arms the per-row delay-line path
+        monkeypatch.setattr(tx, "path_jitter_budget", lambda: budget)
+        pairs = [
+            (lambda b, rng: enc.encode_batch(b, jitter=jitter, rng=rng),
+             lambda row, rng: enc.encode(row, jitter=jitter, rng=rng)),
+            (lambda b, rng: buf.drive_batch(b, 2.5, extra_jitter=budget,
+                                            rng=rng),
+             lambda row, rng: buf.drive(row, 2.5, extra_jitter=budget,
+                                        rng=rng)),
+            (lambda b, rng: tx.transmit_serial_batch(b, 2.5, rng=rng),
+             lambda row, rng: tx.transmit_serial(row, 2.5, rng=rng)),
+        ]
+        for render_block, one_row in pairs:
+            block = render_block(self.BITS, np.random.default_rng(5))
+            for k, wf in enumerate(self._loop(one_row, self.BITS)):
+                assert wf.dt == block.dt and wf.t0 == block.t0
+                assert np.array_equal(wf.values, block.values[k])
+
+    def test_two_draws_per_call_break_loop_order(self):
+        """The condition is needed: two random parts draw twice per
+        call, each over every row, so the loop interleaves them
+        differently."""
+        jitter = CompositeJitter([RandomJitter(3.0), RandomJitter(2.0)])
+        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+        block = enc.encode_batch(self.BITS, jitter=jitter,
+                                 rng=np.random.default_rng(5))
+        rows = self._loop(
+            lambda row, rng: enc.encode(row, jitter=jitter, rng=rng),
+            self.BITS)
+        assert not all(np.array_equal(wf.values, block.values[k])
+                       for k, wf in enumerate(rows))
 
 
 class TestBatchedCacheComposition:

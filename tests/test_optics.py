@@ -95,16 +95,19 @@ class TestWDM:
                                    rtol=1e-9)
 
     def test_demux_crosstalk(self):
-        grid = wavelength_grid(2)
+        grid = wavelength_grid(3)
         _, wf = _drive()
         from repro.signal.waveform import Waveform
 
         dark = Waveform(np.zeros(len(wf)), dt=wf.dt, t0=wf.t0)
         demux = WDMDemux(insertion_loss_db=0.0, isolation_db=20.0)
-        out = demux.split({grid[0]: wf, grid[1]: dark})
+        out = demux.split({grid[0]: wf, grid[1]: dark, grid[2]: dark})
         # The dark port picks up 1% (=-20 dB) of its neighbour.
         leak = out[grid[1]].max()
         assert leak == pytest.approx(0.01 * wf.max(), rel=0.05)
+        # Isolation is adjacent-channel only: two indices away, no
+        # leakage at all.
+        assert np.all(out[grid[2]].values == 0.0)
 
 
 class TestFiberAndDetector:

@@ -249,20 +249,25 @@ first, C-contiguous float64**, one shared `dt`/`t0` time grid for
 every row, `row(i)` returning a zero-copy `Waveform` view. Batched
 stage entry points mirror their scalar names — `NRZEncoder
 .encode_batch`, `LTIChannel.apply_batch`, `CrosstalkMatrix
-.apply_batch`, `WDMMux.combine_batch` / `WDMDemux.split_batch`,
-`EyeDiagram.from_batch`, `EyeAccumulator.update` (fed
-`WaveformBatch` chunks), `OutputBuffer.drive_batch`,
-`PECLTransmitter.transmit_serial_batch`, and `OpticalTestBed
-.transmit_slot_batch`.
+.apply_batch`, `EyeDiagram.from_batch`, `EyeAccumulator.update`
+(fed `WaveformBatch` chunks), `OutputBuffer.drive_batch`, and
+`PECLTransmitter.transmit_serial_batch`.
 
 There is one signal path. The scalar entry points `NRZEncoder
 .encode`, `LTIChannel.apply`, `EyeDiagram.from_waveform`,
 `EyeAccumulator.update` (fed `Waveform` chunks), `OutputBuffer
 .drive`, and `PECLTransmitter.transmit_serial` are the one-row case:
 each keeps its signature, input validation, and cache key, and runs
-its record as a one-row batch through the same code. Only the
-crosstalk and WDM demux dict paths stay separate, as the references
-their batched forms are pinned to.
+its record as a one-row batch through the same code. The
+multi-channel calls have one body too. `CrosstalkMatrix.apply`
+stacks the channels of its dict in routing order into one
+`apply_batch` block, so they must share one time grid.
+`OpticalTestBed.transmit_slot` renders each run of neighbouring
+same-configuration high-speed channels as one
+`transmit_serial_batch` block, Frame and Header as one slow block,
+and board crosstalk through `CrosstalkMatrix.apply`. The WDM mux
+and demux (`WDMMux.combine`, `WDMDemux.split`) keep their dict form
+only: `OpticalLink`'s lasers, fiber and detector work per channel.
 
 **Equivalence contract** (golden-tested in
 `tests/test_batch_equivalence.py` against independent per-stage
@@ -272,17 +277,24 @@ references that do not call the batched code):
   `bincount` ranges preserve each row's accumulation order), LTI
   filtering (`sosfilt` over `axis=-1` runs the identical recurrence
   per row), eye folding with `merge=False`, accumulator density
-  grids and crossing counts under any chunking x any batching, and
-  the WDM mux. A scalar call equals row 0 of its one-row batch call
-  bitwise, jittered renders included, for the same RNG seed.
-- *Tolerance-pinned*: stages that replace sequential per-pair adds
-  with one matrix product reorder float additions — crosstalk
-  mixing within `repro.channel.crosstalk.XTALK_EQUIVALENCE_RTOL`
-  (1e-9, atol 1e-12) and the WDM demux within
-  `repro.optics.wdm.WDM_EQUIVALENCE_RTOL` (1e-12, atol 1e-15).
-- *Statistically equivalent*: jittered renders of several rows draw
-  offsets once over all rows' concatenated edges, so RNG
-  consumption order differs from a loop of scalar calls.
+  grids and crossing counts under any chunking x any batching. A
+  scalar call equals row 0 of its one-row batch call bitwise,
+  jittered renders included, for the same RNG seed.
+- *Bit-identical to a loop when the jitter model draws once*:
+  jittered renders of several rows draw offsets in one call over
+  all rows' edges, in row-major order. When the model draws from
+  the RNG once per call, that equals a loop of one-row calls
+  sharing one `Generator`, bitwise. Every `JitterBudget.build()`
+  model does (only its one `RandomJitter` draws), so
+  `OpticalTestBed.transmit_slot` is bit-identical to rendering each
+  channel on its own. A model that draws twice per call (a
+  `CompositeJitter` of two `RandomJitter`s) consumes the generator
+  in another order.
+- *Tolerance-pinned*: crosstalk mixing replaces sequential per-pair
+  adds with one matrix product, which reorders float additions. It
+  agrees with a per-pair `coupled_noise` sum kept in the tests
+  within `repro.channel.crosstalk.XTALK_EQUIVALENCE_RTOL` (1e-9,
+  atol 1e-12).
 
 Caching composes per row with byte-identical keys: a batched stage
 keys each row with the *same* digest formula as its scalar
