@@ -115,7 +115,7 @@ def telemetry_profile() -> None:
     print()
     print("Telemetry profile of a characterization pass:")
     with telemetry.use_registry() as reg:
-        mini = MiniTester(registry=reg)
+        mini = MiniTester()
         mini.run_loopback(n_bits=500, seed=1)
         mini.measure_eye(n_bits=1500, seed=1)
     snap = reg.to_dict()

@@ -16,7 +16,7 @@ Run:  python examples/service_demo.py
 import time
 
 from repro.service import serve_in_thread
-from repro.telemetry import Registry
+from repro.telemetry import use_registry
 
 SHMOO = {"rates": [2.0, 2.6, 3.2, 3.8, 4.4, 5.0],
          "strobe_fracs": [0.1, 0.3, 0.5, 0.7, 0.9],
@@ -37,8 +37,9 @@ def wait_done(client, job_id):
 
 
 def main() -> int:
-    registry = Registry()  # injected: telemetry is off by default
-    with serve_in_thread(max_slots=1, registry=registry) as handle:
+    # Telemetry is off by default; the service records into the
+    # scope open where it starts.
+    with use_registry(), serve_in_thread(max_slots=1) as handle:
         operator_a = handle.client()
         operator_b = handle.client()
         watcher = handle.client()

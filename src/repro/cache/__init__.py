@@ -26,6 +26,19 @@ Scoped activation (every cache-aware stage underneath resolves it)::
     with artifact_cache.use_cache(cache):
         runner.run(rates, swings)              # warm across cells
 
+:func:`enable` and :func:`disable` set the process-wide default
+cache. :func:`use_cache` opens a scope that is local to the current
+:mod:`contextvars` context, so two sweeps on two threads each see
+their own cache. A scope covers the calling thread, the asyncio
+tasks and ``asyncio.to_thread`` work it starts, the chunks a
+``thread`` :class:`~repro.parallel.Executor` runs for it, and the
+event loop of a service started in it with
+:func:`~repro.service.serve_in_thread`. It does not cover a thread
+the caller starts itself: that thread sees the default (run its
+target under ``contextvars.copy_context().run`` to carry the scope
+over). A remote :class:`~repro.parallel.WorkerPool` serves its
+workers the cache that was active where its latest run was called.
+
 Sharing across ``repro.parallel`` process shards: give the cache a
 ``disk_path`` — workers receive an empty clone pointing at the same
 directory and read each other's atomically-published entries.
@@ -50,6 +63,7 @@ a jitter model would draw from a caller-supplied RNG).
 
 from __future__ import annotations
 
+import contextvars
 from contextlib import contextmanager
 from typing import Any, Callable, List, Optional, Sequence, Union
 
@@ -68,16 +82,22 @@ __all__ = [
 #: caching is off.
 NULL_CACHE = NullCache()
 
-_active: Union[ArtifactCache, NullCache] = NULL_CACHE
+#: The process-wide default, set by :func:`enable`/:func:`disable`.
+_default: Union[ArtifactCache, NullCache] = NULL_CACHE
+#: The innermost :func:`use_cache` scope of the current context
+#: (unset outside any scope).
+_scope: contextvars.ContextVar = contextvars.ContextVar(
+    "repro.cache.scope")
 
 
 def active() -> Union[ArtifactCache, NullCache]:
     """The cache stage code should consult right now.
 
-    An activated :class:`ArtifactCache` when caching is on; the
-    shared :data:`NULL_CACHE` otherwise.
+    The innermost :func:`use_cache` scope of the current context,
+    else the process-wide default: the cache :func:`enable`
+    installed, or the shared :data:`NULL_CACHE` when disabled.
     """
-    return _active
+    return _scope.get(_default)
 
 
 def resolve(cache: Optional[ArtifactCache]
@@ -85,9 +105,9 @@ def resolve(cache: Optional[ArtifactCache]
     """*cache* if injected, else whatever :func:`active` returns.
 
     The one-line helper every cache-aware stage with an injectable
-    ``cache=`` argument uses (mirroring ``telemetry.resolve``).
+    ``cache=`` argument uses.
     """
-    return cache if cache is not None else _active
+    return cache if cache is not None else active()
 
 
 def get_or_compute_rows(store, keys: Sequence[str],
@@ -114,38 +134,39 @@ def get_or_compute_rows(store, keys: Sequence[str],
 
 
 def enable(cache: Optional[ArtifactCache] = None) -> ArtifactCache:
-    """Activate *cache* (a fresh default-sized one if omitted).
+    """Make *cache* (a fresh one if omitted) the process default.
 
-    Returns the now-active cache.
+    Contexts with an open :func:`use_cache` scope keep their scope.
+    Returns the new default.
     """
-    global _active
-    _active = cache if cache is not None else ArtifactCache()
-    return _active
+    global _default
+    _default = cache if cache is not None else ArtifactCache()
+    return _default
 
 
 def disable() -> None:
-    """Deactivate; stages revert to the compute-every-time path."""
-    global _active
-    _active = NULL_CACHE
+    """Make the compute-every-time path the process default again."""
+    global _default
+    _default = NULL_CACHE
 
 
 def enabled() -> bool:
-    """True while a real cache is active."""
-    return _active is not NULL_CACHE
+    """True while :func:`active` is a real cache."""
+    return active() is not NULL_CACHE
 
 
 @contextmanager
 def use_cache(cache: Optional[ArtifactCache] = None):
-    """Temporarily activate *cache* (a fresh one by default).
+    """Activate *cache* (a fresh one by default) in this context.
 
-    Restores the previous state on exit; yields the cache. The
-    scoping primitive ``TestProgram`` and ``ShmooRunner`` build on.
+    The scope is local to the current :mod:`contextvars` context (see
+    the module docstring for what it covers) and is reset on exit;
+    yields the cache. The scoping primitive ``TestProgram`` and
+    ``ShmooRunner`` build on.
     """
-    global _active
     c = cache if cache is not None else ArtifactCache()
-    previous = _active
-    _active = c
+    token = _scope.set(c)
     try:
         yield c
     finally:
-        _active = previous
+        _scope.reset(token)

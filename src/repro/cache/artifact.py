@@ -97,13 +97,12 @@ class ArtifactCache:
         across processes. Misses fall through to disk before
         computing; computed entries are written back atomically, so
         ``repro.parallel`` process shards warm each other's caches.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one. Traffic is observable as
-        ``cache.{hits,misses,evictions,stores,waits}`` counters and
-        the ``cache.bytes`` gauge; ``cache.waits`` counts the
-        :meth:`get_or_compute` lookups that waited on another
-        thread's compute of the same key.
+
+    Traffic is recorded into the telemetry registry active where each
+    call runs, as ``cache.{hits,misses,evictions,stores,waits}``
+    counters and the ``cache.bytes`` gauge; ``cache.waits`` counts
+    the :meth:`get_or_compute` lookups that waited on another
+    thread's compute of the same key.
     """
 
     #: A real cache memoizes; the :class:`NullCache` twin reports
@@ -112,7 +111,7 @@ class ArtifactCache:
 
     def __init__(self, max_entries: int = 512,
                  max_bytes: int = 256 * 1024 * 1024,
-                 disk_path=None, registry=None):
+                 disk_path=None):
         if max_entries < 1:
             raise ConfigurationError(
                 f"need >= 1 entry, got {max_entries}"
@@ -127,7 +126,6 @@ class ArtifactCache:
             else None
         if self.disk_path is not None:
             self.disk_path.mkdir(parents=True, exist_ok=True)
-        self.telemetry = registry
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -145,8 +143,7 @@ class ArtifactCache:
     def __getstate__(self):
         # Workers get the *configuration*, not the contents: an
         # empty same-shaped cache whose disk path (when set) still
-        # points at the shared store. Injected registries are
-        # per-process state and do not travel.
+        # points at the shared store.
         return {
             "max_entries": self.max_entries,
             "max_bytes": self.max_bytes,
@@ -163,7 +160,7 @@ class ArtifactCache:
 
     def get(self, key: str):
         """``(hit, value)`` for *key*; checks memory, then disk."""
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with self._lock:
             value = self._memory_hit(key, tel)
         if value is _MISSING:
@@ -180,7 +177,7 @@ class ArtifactCache:
         self._insert(key, value)
         if self.disk_path is not None:
             self._disk_write(key, value)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         self.stores += 1
         tel.counter("cache.stores").inc()
 
@@ -199,7 +196,7 @@ class ArtifactCache:
         computes it inline. Keys a compute asks for are its inputs'
         keys, so claims form no cycle between threads.
         """
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         while True:
             with self._lock:
                 value = self._memory_hit(key, tel)
@@ -259,7 +256,7 @@ class ArtifactCache:
 
     def _insert(self, key: str, value) -> None:
         size = _sizeof(value)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with self._lock:
             old = self._entries.pop(key, _MISSING)
             if old is not _MISSING:
@@ -329,8 +326,7 @@ class ArtifactCache:
         with self._lock:
             self._entries.clear()
             self._nbytes = 0
-            telemetry.resolve(self.telemetry) \
-                .gauge("cache.bytes").set(0)
+            telemetry.active().gauge("cache.bytes").set(0)
 
     def stats(self) -> dict:
         """Plain-dict counters snapshot."""

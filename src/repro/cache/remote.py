@@ -31,15 +31,10 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro import telemetry
 from repro.cache.artifact import ArtifactCache
-from repro.telemetry.registry import NullRegistry
 
 #: Default size of the worker-local front LRU.
 LOCAL_ENTRIES = 256
 LOCAL_BYTES = 64 * 1024 * 1024
-
-#: Registry injected into the inner LRU so its bookkeeping does not
-#: double-count the tier's own hit/miss telemetry.
-_SILENT = NullRegistry()
 
 
 class RemoteCacheTier:
@@ -56,11 +51,11 @@ class RemoteCacheTier:
     local:
         Optional pre-built front cache; defaults to a private
         in-memory :class:`ArtifactCache` (no disk backing — the
-        master owns the disk tier).
-    registry:
-        Optional injected telemetry registry; defaults to the
-        active one at call time, so counts recorded inside a
-        chunk's collection scope ride home in its snapshot.
+        master owns the disk tier). It runs silenced, so its own
+        bookkeeping never double-counts the tier's telemetry.
+
+    Counts go to the registry active at call time, so those recorded
+    inside a chunk's collection scope ride home in its snapshot.
     """
 
     #: Stages consult this before building keys, like the real cache.
@@ -68,14 +63,11 @@ class RemoteCacheTier:
 
     def __init__(self, fetch: Callable[[str], Tuple[bool, Any]],
                  publish: Callable[[str, Any], None],
-                 local: Optional[ArtifactCache] = None,
-                 registry=None):
+                 local: Optional[ArtifactCache] = None):
         self._fetch = fetch
         self._publish = publish
         self._local = local if local is not None else ArtifactCache(
-            max_entries=LOCAL_ENTRIES, max_bytes=LOCAL_BYTES,
-            registry=_SILENT)
-        self.telemetry = registry
+            max_entries=LOCAL_ENTRIES, max_bytes=LOCAL_BYTES)
         self.local_hits = 0
         self.remote_hits = 0
         self.misses = 0
@@ -85,8 +77,9 @@ class RemoteCacheTier:
 
     def get(self, key: str):
         """``(hit, value)``: local memory, then the master's store."""
-        tel = telemetry.resolve(self.telemetry)
-        hit, value = self._local.get(key)
+        tel = telemetry.active()
+        with telemetry.use_registry(telemetry.NULL_REGISTRY):
+            hit, value = self._local.get(key)
         if hit:
             self.local_hits += 1
             tel.counter("cache.hits").inc()
@@ -95,7 +88,8 @@ class RemoteCacheTier:
         hit, value = self._fetch(key)
         if hit:
             # Keep a private copy so the next probe is local.
-            self._local.put(key, value)
+            with telemetry.use_registry(telemetry.NULL_REGISTRY):
+                self._local.put(key, value)
             self.remote_hits += 1
             tel.counter("cache.hits").inc()
             tel.counter("cache.remote.hits").inc()
@@ -107,8 +101,9 @@ class RemoteCacheTier:
 
     def put(self, key: str, value) -> None:
         """Store locally and publish to the master's shared store."""
-        tel = telemetry.resolve(self.telemetry)
-        self._local.put(key, value)
+        tel = telemetry.active()
+        with telemetry.use_registry(telemetry.NULL_REGISTRY):
+            self._local.put(key, value)
         self._publish(key, value)
         self.puts += 1
         tel.counter("cache.stores").inc()
@@ -126,7 +121,8 @@ class RemoteCacheTier:
 
     def clear(self) -> None:
         """Drop the local front (the master's store is untouched)."""
-        self._local.clear()
+        with telemetry.use_registry(telemetry.NULL_REGISTRY):
+            self._local.clear()
 
     def stats(self) -> dict:
         """Tier traffic counters (plain dict)."""

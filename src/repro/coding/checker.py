@@ -70,23 +70,18 @@ class CodedStreamChecker:
         comma layout must match).
     order:
         PRBS order of the payload stream.
-    registry:
-        Optional injected telemetry registry.
     """
 
     def __init__(self, codec: Optional[LinkCodec] = None,
-                 order: int = 7, resync_threshold: int = 16,
-                 registry=None):
-        self.codec = codec if codec is not None \
-            else LinkCodec(registry=registry)
+                 order: int = 7, resync_threshold: int = 16):
+        self.codec = codec if codec is not None else LinkCodec()
         self.order = int(order)
         self.resync_threshold = int(resync_threshold)
-        self.telemetry = registry
 
     def check(self, line_bits, n_bytes: Optional[int] = None
               ) -> CodedCheckResult:
         """Decode *line_bits* and grade the recovered payload."""
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         frame = self.codec.decode_frame(line_bits, n_bytes=n_bytes)
         checker = SelfSyncChecker(
             order=self.order, resync_threshold=self.resync_threshold)

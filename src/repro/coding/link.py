@@ -161,14 +161,12 @@ class LinkCodec:
         Insert one comma every *comma_period* payload bytes (0 =
         preamble only); periodic commas bound relock time after a
         mid-frame loss.
-    registry:
-        Optional injected telemetry registry.
     """
 
     def __init__(self, scramble: bool = False, n_preamble: int = 4,
                  comma_period: int = 0, lock_commas: int = 2,
                  loss_window: int = 16, loss_violations: int = 4,
-                 scrambler_taps=DEFAULT_TAPS, registry=None):
+                 scrambler_taps=DEFAULT_TAPS):
         if n_preamble < max(1, lock_commas):
             raise ConfigurationError(
                 f"n_preamble must be >= lock_commas "
@@ -183,10 +181,9 @@ class LinkCodec:
         self.loss_window = int(loss_window)
         self.loss_violations = int(loss_violations)
         self.scrambler = Scrambler(scrambler_taps)
-        self.telemetry = registry
 
     @classmethod
-    def from_spec(cls, spec, registry=None) -> Optional["LinkCodec"]:
+    def from_spec(cls, spec) -> Optional["LinkCodec"]:
         """Normalize an ``encoding=`` argument into a codec.
 
         ``None`` passes through (raw NRZ), a :class:`LinkCodec` is
@@ -196,9 +193,9 @@ class LinkCodec:
         if spec is None or isinstance(spec, cls):
             return spec
         if spec == "8b10b":
-            return cls(scramble=False, registry=registry)
+            return cls(scramble=False)
         if spec == "8b10b-scrambled":
-            return cls(scramble=True, registry=registry)
+            return cls(scramble=True)
         raise ConfigurationError(
             f"unknown encoding {spec!r}; use None, '8b10b', "
             f"'8b10b-scrambled', or a LinkCodec"
@@ -263,7 +260,7 @@ class LinkCodec:
                 f"{payloads.shape}"
             )
         n_rows, n_bytes = payloads.shape
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         if self.scramble:
             scrambled, _ = self.scrambler.scramble(
                 np.unpackbits(payloads, axis=-1))
@@ -294,7 +291,7 @@ class LinkCodec:
         (the transmit-side frame length, when known).
         """
         bits = (np.asarray(bits).astype(np.uint8) & 1)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         stats = LinkStats()
         sm = LinkLockStateMachine(
             lock_commas=self.lock_commas,

@@ -101,16 +101,15 @@ class MiniTester(TestSystem):
                  buffer_spec: BufferSpec = MINI_IO_BUFFER,
                  channel: Optional[LTIChannel] = None,
                  io_rate_mbps: float = 400.0,
-                 encoding=None,
-                 registry=None):
+                 encoding=None):
         from repro.coding.link import LinkCodec
 
         # The RF reference runs at half the bit rate: the 2:1 output
         # mux toggles on both clock edges (1.25 GHz input in Fig. 15
         # for 2.5 G halves / 5 G output).
         super().__init__(rate_gbps, rf_frequency_ghz=rate_gbps / 2.0,
-                         io_rate_mbps=io_rate_mbps, registry=registry)
-        codec = LinkCodec.from_spec(encoding, registry=registry)
+                         io_rate_mbps=io_rate_mbps)
+        codec = LinkCodec.from_spec(encoding)
         self._tx = PECLTransmitter(
             TwoStageSerializer(),
             buffer_spec=buffer_spec,
@@ -150,7 +149,7 @@ class MiniTester(TestSystem):
                      strobe_code: Optional[int] = None) -> LoopbackResult:
         """Full self-test: transmit PRBS, capture, count errors."""
         rate = self.rate_gbps if rate_gbps is None else rate_gbps
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("minitester.run_loopback"):
             wf = self.loopback_waveform(n_bits, seed=seed,
                                         rate_gbps=rate)
@@ -192,7 +191,7 @@ class MiniTester(TestSystem):
 
         self.transmitter._require_codec()
         rate = self.rate_gbps if rate_gbps is None else rate_gbps
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("minitester.run_coded_loopback"):
             payload = prbs_payload_bytes(order, n_bytes, seed=seed)
             wf = self.transmitter.transmit_coded(

@@ -39,28 +39,22 @@ class TestSystem:
         reference clocks the final serializer stage).
     io_rate_mbps:
         DLC I/O derating.
-    registry:
-        Optional injected telemetry registry, shared with the DLC;
-        defaults to the module-level active one.
     """
 
     __test__ = False  # not a pytest collection target
 
     def __init__(self, rate_gbps: float,
                  rf_frequency_ghz: Optional[float] = None,
-                 io_rate_mbps: float = 400.0,
-                 registry=None):
+                 io_rate_mbps: float = 400.0):
         if rate_gbps <= 0.0:
             raise ConfigurationError("rate must be positive")
         self.rate_gbps = float(rate_gbps)
-        self.telemetry = registry
         self.rf_source = RFClockSource(
             rf_frequency_ghz if rf_frequency_ghz is not None else rate_gbps
         )
         self.rf_source.enable()
         self.dlc = DigitalLogicCore(io_rate_mbps=io_rate_mbps,
-                                    rf_clock=self.rf_clock,
-                                    registry=registry)
+                                    rf_clock=self.rf_clock)
         self.dlc.configure_direct()
         self.scope = SamplingScope()
         self._tx: Optional[PECLTransmitter] = None
@@ -127,7 +121,7 @@ class TestSystem:
         self-synchronizing checker locks onto it directly).
         """
         rate = self.rate_gbps if rate_gbps is None else rate_gbps
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("system.prbs_waveform"):
             factor = self.serialization_factor()
             self.dlc.host_write(0x0C, seed)  # LFSR_SEED
@@ -150,7 +144,7 @@ class TestSystem:
                     rate_gbps: Optional[float] = None) -> EyeMetrics:
         """PRBS eye measurement at the output connector."""
         rate = self.rate_gbps if rate_gbps is None else rate_gbps
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("system.measure_eye"):
             wf = self.prbs_waveform(n_bits, seed=seed, rate_gbps=rate)
             tel.counter("system.eye_measurements").inc()

@@ -48,12 +48,11 @@ class OpticalTestBed(TestSystem):
     def __init__(self, rate_gbps: float = 2.5, n_data_channels: int = 4,
                  buffer_spec: BufferSpec = SIGE_BUFFER,
                  io_rate_mbps: float = 400.0,
-                 crosstalk=None, encoding=None, registry=None):
+                 crosstalk=None, encoding=None):
         from repro.coding.link import LinkCodec
         from repro.pecl.receiver import PECLReceiver
 
-        super().__init__(rate_gbps, io_rate_mbps=io_rate_mbps,
-                         registry=registry)
+        super().__init__(rate_gbps, io_rate_mbps=io_rate_mbps)
         if n_data_channels < 1:
             raise ConfigurationError("need >= 1 data channel")
         self.n_data_channels = int(n_data_channels)
@@ -62,7 +61,7 @@ class OpticalTestBed(TestSystem):
         #: Optional line coding on the high-speed channels (None =
         #: raw NRZ; "8b10b", "8b10b-scrambled", or a
         #: :class:`repro.coding.LinkCodec`).
-        self.codec = LinkCodec.from_spec(encoding, registry=registry)
+        self.codec = LinkCodec.from_spec(encoding)
         # One TX per high-speed channel: data channels + the clock.
         self.channels: Dict[str, PECLTransmitter] = {}
         for i in range(n_data_channels):
@@ -123,7 +122,7 @@ class OpticalTestBed(TestSystem):
                 f"slot format is {slot.fmt.rate_gbps} Gbps; test bed "
                 f"runs {self.rate_gbps} Gbps"
             )
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("testbed.transmit_slot"):
             rng = np.random.default_rng(seed)
             out: Dict[str, Waveform] = {}
@@ -234,8 +233,7 @@ class OpticalTestBed(TestSystem):
         """
         from repro.signal.sampling import decide_bits
 
-        telemetry.resolve(self.telemetry) \
-            .counter("testbed.slots_received").inc()
+        telemetry.active().counter("testbed.slots_received").inc()
         fmt = self.fmt
         rng = np.random.default_rng(seed)
         recovered: Dict[str, np.ndarray] = {}
@@ -280,7 +278,7 @@ class OpticalTestBed(TestSystem):
         header_ok = int(recovered["header_value"][0]) == slot.address()
         frame_ok = bool(recovered["frame_valid"][0]) == slot.frame
         ok = payload_ok and header_ok and frame_ok
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         tel.counter("testbed.roundtrips").inc()
         if not ok:
             tel.counter("testbed.roundtrip_failures").inc()
@@ -338,7 +336,7 @@ class OpticalTestBed(TestSystem):
                 f"expected ({self.n_data_channels}, n_bytes), got "
                 f"shape {payloads.shape}"
             )
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("testbed.transmit_coded_channels"):
             return self._tx.transmit_coded_batch(
                 payloads, self.rate_gbps,

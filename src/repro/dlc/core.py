@@ -49,16 +49,11 @@ class DigitalLogicCore:
         External RF reference, if connected at construction.
     with_sram:
         Attach the optional SRAM pattern store.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
     def __init__(self, io_rate_mbps: float = DEFAULT_DERATED_MBPS,
                  rf_clock: Optional[ClockSignal] = None,
-                 with_sram: bool = False,
-                 registry=None):
-        self.telemetry = registry
+                 with_sram: bool = False):
         self.fpga = FPGA()
         self.flash = FlashMemory()
         self.clocks = ClockManager()
@@ -250,20 +245,18 @@ class DigitalLogicCore:
 
     def host_read(self, address: int) -> int:
         """Register read as seen over USB."""
-        telemetry.resolve(self.telemetry) \
-            .counter("dlc.register_reads").inc()
+        telemetry.active().counter("dlc.register_reads").inc()
         self._update_status()
         return self.registers.read(address)
 
     def host_write(self, address: int, value: int) -> None:
         """Register write as seen over USB."""
-        telemetry.resolve(self.telemetry) \
-            .counter("dlc.register_writes").inc()
+        telemetry.active().counter("dlc.register_writes").inc()
         self.registers.write(address, value)
 
     def run_test(self, pattern_length: int) -> SequencerState:
         """Arm, trigger, and clock a test to completion."""
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("dlc.run_test"):
             self.host_write(0x08, pattern_length)
             self.host_write(0x04, self.CTRL_ARM)

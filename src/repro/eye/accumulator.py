@@ -68,15 +68,13 @@ class EyeAccumulator:
         exactly this many rows, ``grid``/``phase_hist`` gain a
         leading channel axis, and every readout takes an optional
         ``channel=`` selector (None reads the merged view).
-    registry:
-        Optional injected telemetry registry.
     """
 
     def __init__(self, rate_gbps: float, v_range: Tuple[float, float],
                  threshold: float, n_time_bins: int = 64,
                  n_volt_bins: int = 64, n_phase_bins: int = 256,
                  t_first_bit: float = 0.0,
-                 n_channels: Optional[int] = None, registry=None):
+                 n_channels: Optional[int] = None):
         if v_range[1] <= v_range[0]:
             raise ConfigurationError(
                 f"v_range must be increasing, got {v_range}"
@@ -91,7 +89,6 @@ class EyeAccumulator:
         self.v_range = (float(v_range[0]), float(v_range[1]))
         self.threshold = float(threshold)
         self.t_first_bit = float(t_first_bit)
-        self.telemetry = registry
         ui = self.unit_interval
         self.t_edges = np.linspace(0.0, ui, n_time_bins + 1,
                                    dtype=np.float64)
@@ -211,7 +208,7 @@ class EyeAccumulator:
                 f"chunk t0 {batch.t0} does not continue the stream "
                 f"(expected {self._t_next})"
             )
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("eye.accumulate"):
             ui = self.unit_interval
             values = batch.values

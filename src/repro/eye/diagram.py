@@ -115,7 +115,7 @@ class EyeDiagram:
                       threshold: Optional[float] = None,
                       t_first_bit: float = 0.0,
                       discard_ui: int = 1,
-                      registry=None, cache=None) -> "EyeDiagram":
+                      cache=None) -> "EyeDiagram":
         """Fold *waveform* into an eye at *rate_gbps*.
 
         The fold is one row of :meth:`from_batch` and is
@@ -134,8 +134,6 @@ class EyeDiagram:
         discard_ui:
             Leading/trailing unit intervals to exclude (pattern
             start-up and shut-down edges).
-        registry:
-            Optional injected telemetry registry.
         cache:
             Optional injected :class:`repro.cache.ArtifactCache`;
             defaults to the module-level active one. Folds are
@@ -157,7 +155,7 @@ class EyeDiagram:
                 WaveformBatch(waveform.values[None], dt=waveform.dt,
                               t0=waveform.t0),
                 rate_gbps, threshold, t_first_bit, discard_ui,
-                registry, False)[0]
+                False)[0]
 
         store = _cache.resolve(cache)
         if store.enabled:
@@ -172,7 +170,7 @@ class EyeDiagram:
     def from_batch(cls, batch: WaveformBatch, rate_gbps: float,
                    threshold: Optional[float] = None,
                    t_first_bit: float = 0.0, discard_ui: int = 1,
-                   merge: bool = False, registry=None, cache=None):
+                   merge: bool = False, cache=None):
         """Fold every channel of *batch* at *rate_gbps* at once.
 
         The analysis window, fold phases, and threshold crossings
@@ -192,7 +190,7 @@ class EyeDiagram:
             crossings — the all-channels color-graded eye — using
             one shared threshold (the batch-global midpoint when
             None).
-        threshold, t_first_bit, discard_ui, registry, cache:
+        threshold, t_first_bit, discard_ui, cache:
             As for :meth:`from_waveform`. Per-channel folds are
             memoized per row under the *same* keys as the
             single-channel path; merged folds are not cached.
@@ -203,7 +201,7 @@ class EyeDiagram:
         if merge or not store.enabled or not batch.n_channels:
             return cls._fold_batch_impl(batch, rate_gbps, threshold,
                                         t_first_bit, discard_ui,
-                                        registry, merge)
+                                        merge)
         keys = [
             _cache.canonical_digest(
                 "eye.fold", tok, float(rate_gbps), threshold,
@@ -217,7 +215,7 @@ class EyeDiagram:
                                 t0=batch.t0)
             eyes = cls._fold_batch_impl(sub, rate_gbps, threshold,
                                         t_first_bit, discard_ui,
-                                        registry, False)
+                                        False)
             # Own the voltages: a view would keep the sub-batch alive.
             return [cls._on_grid(eye._grid, eye.voltages.copy(),
                                  eye.unit_interval, eye.crossing_phases,
@@ -230,10 +228,10 @@ class EyeDiagram:
     def _fold_batch_impl(cls, batch: WaveformBatch, rate_gbps: float,
                          threshold: Optional[float],
                          t_first_bit: float, discard_ui: int,
-                         registry, merge: bool):
+                         merge: bool):
         from repro.eye._binning import fold_phases
 
-        tel = telemetry.resolve(registry)
+        tel = telemetry.active()
         with tel.span("eye.fold_batch"):
             ui = unit_interval_ps(rate_gbps)
             if merge and not batch.n_channels:

@@ -142,18 +142,12 @@ class TestSession:
     tester:
         The system under session control; a fresh 5 Gbps
         mini-tester by default.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, tester: Optional[MiniTester] = None,
-                 registry=None):
-        self.telemetry = registry
-        self.tester = tester if tester is not None \
-            else MiniTester(registry=registry)
+    def __init__(self, tester: Optional[MiniTester] = None):
+        self.tester = tester if tester is not None else MiniTester()
         self.report = SessionReport()
         self._stage = "created"
 
@@ -166,7 +160,7 @@ class TestSession:
 
     def power_on(self) -> SelfTestReport:
         """Step 1: the board checks itself."""
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("session.power_on"):
             self.report.self_test = run_self_test(self.tester.dlc)
         self._stage = "self-test"
@@ -183,7 +177,7 @@ class TestSession:
         self._require_stage("self-test")
         if rng is None:
             rng = np.random.default_rng(31)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("session.calibrate"):
             line = self.tester.transmitter.delay_line
             saved_code = line.code
@@ -206,7 +200,7 @@ class TestSession:
                 self.tester.rate_gbps, min_opening_ui=0.65,
                 n_bits=2000,
             )
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("session.qualify"):
             datalog = program.run(self.tester)
         self.report.qualification = datalog
@@ -243,7 +237,7 @@ class TestSession:
         rate = self.tester.rate_gbps if rate_gbps is None else rate_gbps
         plan = ShardPlan.for_range(total_bits, n_shards)
         ranges = [shard.items[0] for shard in plan.shards]
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("session.characterize_ber"):
             if executor is None:
                 seeds = spawn_seeds(len(ranges), root=seed)
@@ -280,7 +274,7 @@ class TestSession:
         self._require_stage("qualified")
         card = card if card is not None else ProbeCard(n_sites=4)
         scheduler = MultiSiteScheduler(card, **scheduler_kwargs)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("session.sort_wafer"):
             scheduler.sort_wafer(wafer, seed=seed)
             scheduler.retest_skipped(wafer, seed=seed + 1)
@@ -302,7 +296,7 @@ class TestSession:
 
     def run_bring_up(self) -> SessionReport:
         """Steps 1-3 in order; returns the session report."""
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("session.bring_up"):
             self.power_on()
             self.calibrate()

@@ -172,9 +172,6 @@ class ShmooRunner:
         Callable ``f(x, y) -> bool``.
     x_name, y_name:
         Axis labels for rendering.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     cache:
         Optional :class:`repro.cache.ArtifactCache` active for the
         duration of each sweep, so cells sharing stimulus stages
@@ -186,11 +183,10 @@ class ShmooRunner:
 
     def __init__(self, test: Callable[[float, float], bool],
                  x_name: str = "x", y_name: str = "y",
-                 registry=None, cache=None):
+                 cache=None):
         self.test = test
         self.x_name = x_name
         self.y_name = y_name
-        self.telemetry = registry
         self.cache = cache
 
     def _cache_scope(self):
@@ -233,8 +229,8 @@ class ShmooRunner:
         y_values = list(y_values)
         if not x_values or not y_values:
             raise ConfigurationError("both axes need values")
-        tel = telemetry.resolve(self.telemetry)
-        guard = CallbackGuard(progress, should_abort, registry=tel)
+        tel = telemetry.active()
+        guard = CallbackGuard(progress, should_abort)
         if guard.active:
             # A raising hook aborts the sweep cleanly (partial grid,
             # complete=False) instead of propagating mid-sweep.
@@ -373,8 +369,8 @@ class ShmooRunner:
             return self.run(x_values, y_values, progress=progress,
                             should_abort=should_abort,
                             executor=executor)
-        tel = telemetry.resolve(self.telemetry)
-        guard = CallbackGuard(progress, should_abort, registry=tel)
+        tel = telemetry.active()
+        guard = CallbackGuard(progress, should_abort)
         if guard.active:
             progress = guard.progress if progress is not None else None
             should_abort = guard.should_abort
@@ -519,19 +515,16 @@ def strobe_rate_test(minitester, n_bits: int = 300,
 def minitester_strobe_rate_shmoo(minitester, rates: Sequence[float],
                                  strobe_fracs: Sequence[float],
                                  n_bits: int = 300,
-                                 seed: int = 1,
-                                 registry=None) -> ShmooResult:
+                                 seed: int = 1) -> ShmooResult:
     """The mini-tester's natural shmoo: strobe position vs rate.
 
     Parameters
     ----------
     strobe_fracs:
         Strobe positions as fractions of the unit interval.
-    registry:
-        Optional injected telemetry registry for the runner.
     """
     runner = ShmooRunner(strobe_rate_test(minitester, n_bits=n_bits,
                                           seed=seed),
                          x_name="rate (Gbps)",
-                         y_name="strobe (UI)", registry=registry)
+                         y_name="strobe (UI)")
     return runner.run(rates, strobe_fracs)

@@ -76,9 +76,6 @@ class TestProgram:
     stop_on_fail:
         Abort the flow at the first failing step (production
         default); False datalogs everything.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     cache:
         Optional :class:`repro.cache.ArtifactCache` activated for
         the duration of each :meth:`run` — steps that measure the
@@ -90,13 +87,12 @@ class TestProgram:
     __test__ = False  # not a pytest collection target
 
     def __init__(self, name: str, steps: List[TestStep] = None,
-                 stop_on_fail: bool = True, registry=None, cache=None):
+                 stop_on_fail: bool = True, cache=None):
         if not name:
             raise ConfigurationError("program name must be non-empty")
         self.name = name
         self.steps: List[TestStep] = list(steps or [])
         self.stop_on_fail = bool(stop_on_fail)
-        self.telemetry = registry
         self.cache = cache
 
     def add_step(self, name: str,
@@ -127,7 +123,7 @@ class TestProgram:
         return self._run_impl(system)
 
     def _run_impl(self, system) -> Datalog:
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         datalog = Datalog()
         with tel.span(f"testprogram.{self.name}"):
             tel.counter("testprogram.runs").inc()

@@ -31,6 +31,7 @@ a hope.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import math
 import pickle
@@ -225,13 +226,11 @@ class CallbackGuard:
     exactly as if ``should_abort`` had returned True.
     """
 
-    __slots__ = ("_progress", "_should_abort", "_registry", "failed")
+    __slots__ = ("_progress", "_should_abort", "failed")
 
-    def __init__(self, progress=None, should_abort=None,
-                 registry=None):
+    def __init__(self, progress=None, should_abort=None):
         self._progress = progress
         self._should_abort = should_abort
-        self._registry = registry
         #: True once any hook has raised; latches the abort.
         self.failed = False
 
@@ -243,8 +242,7 @@ class CallbackGuard:
 
     def _note_failure(self) -> None:
         self.failed = True
-        telemetry.resolve(self._registry) \
-            .counter("parallel.callback_errors").inc()
+        telemetry.active().counter("parallel.callback_errors").inc()
 
     def progress(self, *args) -> None:
         """Forward to the caller's progress hook, absorbing errors."""
@@ -378,9 +376,6 @@ class Executor:
         workers are also terminated when the run raises after a
         timeout); ``remote`` declares the wedged worker dead, so a
         retry runs on the survivors.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     backend_options:
         Backend-specific settings. The remote backend reads
         ``pool`` (a started :class:`~repro.parallel.pool.WorkerPool`
@@ -395,7 +390,6 @@ class Executor:
                  chunk_size: Optional[int] = None,
                  max_retries: int = 1,
                  timeout_s: Optional[float] = None,
-                 registry=None,
                  backend_options: Optional[dict] = None):
         if backend not in _BACKENDS:
             raise ConfigurationError(
@@ -423,7 +417,6 @@ class Executor:
         self.chunk_size = chunk_size
         self.max_retries = int(max_retries)
         self.timeout_s = timeout_s
-        self.telemetry = registry
         self.backend_options = dict(backend_options or {})
         self._remote_pool = None
         self._owns_pool = False
@@ -453,8 +446,7 @@ class Executor:
                     if k in ("heartbeat_s", "heartbeat_timeout_s",
                              "connect_timeout_s", "spawn", "host",
                              "port", "cache")}
-            pool = WorkerPool(n_workers=self.max_workers,
-                              registry=self.telemetry, **opts)
+            pool = WorkerPool(n_workers=self.max_workers, **opts)
             self._owns_pool = True
         self._remote_pool = pool
         return pool
@@ -510,16 +502,18 @@ class Executor:
             ``aborted=True``.
         collect_telemetry:
             Force worker-side telemetry collection on/off; default
-            collects exactly when the parent registry is enabled
-            and the backend is ``"process"`` or ``"remote"``
-            (serial/thread workers already share the parent's
-            registry).
+            collects exactly when the caller's active registry is
+            enabled and the backend is ``"process"`` or
+            ``"remote"``, whose workers' snapshots merge into that
+            registry. Serial chunks run in the caller's context and
+            thread chunks in a copy of it, so they record into the
+            caller's registry directly.
         """
         items = list(items)
         if not items:
             raise ConfigurationError("no work items to run")
-        tel = telemetry.resolve(self.telemetry)
-        guard = CallbackGuard(progress, should_abort, registry=tel)
+        tel = telemetry.active()
+        guard = CallbackGuard(progress, should_abort)
         if guard.active:
             # A raising hook converts to a clean abort instead of
             # propagating mid-run (counted as
@@ -656,7 +650,13 @@ class Executor:
         def submit_pending() -> None:
             cid = ledger.assign(me)
             while cid is not None:
-                fut = pool.submit(run_chunk, fn, chunks[cid], collect)
+                call = (run_chunk, fn, chunks[cid], collect)
+                if me == "thread":
+                    # The chunk runs in a copy of the caller's
+                    # context, so its cache and telemetry scopes
+                    # reach the pool thread.
+                    call = (contextvars.copy_context().run,) + call
+                fut = pool.submit(*call)
                 running[fut] = cid
                 cid = ledger.assign(me)
 

@@ -120,14 +120,19 @@ class WorkerPool:
         How long :meth:`start` waits for the initial *n_workers*.
     cache:
         Cache served to workers for the shared read-through tier;
-        defaults to whatever cache is active at run time
-        (:func:`repro.cache.active`), so ``use_cache`` scoping on
-        the master extends across the whole pool.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one. Remote traffic is observable as
-        ``parallel.remote.*`` counters and per-worker labeled
-        gauges (``parallel.remote.worker.alive{worker=w0}`` ...).
+        defaults to the cache active where the latest run was
+        called (:func:`repro.cache.active`), so ``use_cache``
+        scoping on the master extends across the whole pool. The
+        pool's own threads do not run in the caller's context, so
+        each run captures the caller's cache (and telemetry
+        registry) for them, and the capture stays in force after
+        the run returns, for publishes that land late. Before the
+        first run they use the process defaults.
+
+    Remote traffic is recorded into the telemetry registry active
+    where the run was called, as ``parallel.remote.*`` counters and
+    per-worker labeled gauges
+    (``parallel.remote.worker.alive{worker=w0}`` ...).
     """
 
     def __init__(self, n_workers: int = 2, *, spawn: bool = True,
@@ -136,7 +141,7 @@ class WorkerPool:
                  heartbeat_timeout_s: Optional[float] = None,
                  connect_timeout_s: float = 60.0,
                  secret: Optional[str] = None,
-                 cache=None, registry=None):
+                 cache=None):
         if n_workers < 0 or (spawn and n_workers < 1):
             raise ConfigurationError(
                 f"need >= 1 spawned worker, got {n_workers}"
@@ -166,7 +171,9 @@ class WorkerPool:
         self.secret = resolved.decode("utf-8") if resolved \
             else transport.new_nonce()
         self.cache = cache
-        self.telemetry = registry
+        #: ``(registry, cache)`` active where the latest run was
+        #: called; what the pool's own threads record into and serve.
+        self._caller: Optional[tuple] = None
         self.address: Optional[Tuple[str, int]] = None
         self._listener: Optional[socket.socket] = None
         self._workers: Dict[str, _Worker] = {}
@@ -353,7 +360,7 @@ class WorkerPool:
     def _handshake(self, sock: socket.socket) -> None:
         stream = transport.MessageStream(sock)
         stream.settimeout(transport.HANDSHAKE_TIMEOUT_S)
-        tel = telemetry.resolve(self.telemetry)
+        tel = self._telemetry()
         nonce = transport.new_nonce()
         try:
             stream.send({"type": "challenge", "nonce": nonce,
@@ -418,16 +425,9 @@ class WorkerPool:
                 if kind == "result":
                     self._events.put(("result", worker, msg))
                 elif kind == "cache_get":
-                    # Resolve per frame: the active registry at
-                    # serve time is the run's registry, not the one
-                    # active when the worker joined.
-                    self._serve_cache_get(
-                        worker, msg,
-                        telemetry.resolve(self.telemetry))
+                    self._serve_cache_get(worker, msg)
                 elif kind == "cache_put":
-                    self._serve_cache_put(
-                        worker, msg,
-                        telemetry.resolve(self.telemetry))
+                    self._serve_cache_put(worker, msg)
                 # Unknown frame types are ignored (forward compat).
         except (ConnectionError, ProtocolError):
             pass
@@ -435,12 +435,19 @@ class WorkerPool:
 
     # -- shared cache tier (master side) -----------------------------------
 
-    def _active_cache(self):
-        return self.cache if self.cache is not None \
-            else artifact_cache.active()
+    def _telemetry(self):
+        """The registry the pool's own threads record into."""
+        caller = self._caller
+        return telemetry.active() if caller is None else caller[0]
 
-    def _serve_cache_get(self, worker: _Worker, msg: dict,
-                         tel) -> None:
+    def _active_cache(self):
+        if self.cache is not None:
+            return self.cache
+        caller = self._caller
+        return artifact_cache.active() if caller is None else caller[1]
+
+    def _serve_cache_get(self, worker: _Worker, msg: dict) -> None:
+        tel = self._telemetry()
         tel.counter("parallel.remote.cache.gets").inc()
         cache = self._active_cache()
         hit, value = cache.get(str(msg.get("key", "")))
@@ -462,9 +469,8 @@ class WorkerPool:
         except ConnectionError:
             pass  # the reader loop will notice the death
 
-    def _serve_cache_put(self, worker: _Worker, msg: dict,
-                         tel) -> None:
-        tel.counter("parallel.remote.cache.puts").inc()
+    def _serve_cache_put(self, worker: _Worker, msg: dict) -> None:
+        self._telemetry().counter("parallel.remote.cache.puts").inc()
         cache = self._active_cache()
         if not cache.enabled:
             return
@@ -482,7 +488,7 @@ class WorkerPool:
                 return
             worker.alive = False
             worker.busy = False
-            tel = telemetry.resolve(self.telemetry)
+            tel = self._telemetry()
             tel.counter("parallel.remote.worker_deaths").inc()
             tel.gauge("parallel.remote.workers_alive") \
                 .set(self._n_alive_locked())
@@ -499,7 +505,7 @@ class WorkerPool:
                            if w.alive]
             for w in workers:
                 if now - w.last_seen > self.heartbeat_timeout_s:
-                    telemetry.resolve(self.telemetry).counter(
+                    self._telemetry().counter(
                         "parallel.remote.heartbeat_misses").inc()
                     self._fail_worker(
                         w, f"no heartbeat for "
@@ -511,7 +517,7 @@ class WorkerPool:
                     self._fail_worker(w, "ping failed")
 
     def _set_worker_gauges(self, worker: _Worker) -> None:
-        tel = telemetry.resolve(self.telemetry)
+        tel = self._telemetry()
         base = "parallel.remote.worker."
         tel.gauge(base + "alive" + worker.label) \
             .set(1.0 if worker.alive else 0.0)
@@ -537,9 +543,10 @@ class WorkerPool:
         """
         if not self._started:
             self.start()
-        tel = telemetry.resolve(self.telemetry)
-        # Re-assert liveness gauges into whatever registry is active
-        # for *this* run (joins may predate its scope).
+        self._caller = (telemetry.active(), artifact_cache.active())
+        tel = self._caller[0]
+        # Re-assert liveness gauges into the registry of *this* run
+        # (joins may predate it).
         with self._lock:
             tel.gauge("parallel.remote.workers_alive") \
                 .set(self._n_alive_locked())

@@ -28,8 +28,9 @@ def run_chunk(fn: Callable[[Any, Optional[int]], Any],
     *collect_telemetry* the chunk runs inside a private registry
     whose snapshot rides back for the parent to merge — the process
     backend's path. The serial and thread backends pass ``False``:
-    they share the parent's address space, so instrumented code
-    already records into the parent's active registry directly.
+    they run the chunk in the caller's context (the thread backend
+    in a copy of it), so instrumented code already records into the
+    caller's active registry directly.
     """
     if collect_telemetry:
         with telemetry.use_registry() as reg:

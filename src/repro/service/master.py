@@ -20,6 +20,7 @@ event-loop thread and hands back its address::
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
 from typing import Optional, Tuple
 
@@ -35,14 +36,17 @@ from repro.service.scheduler import Scheduler
 class TestFloorMaster:
     """RPC job server + priority scheduler + live event streams.
 
+    Every layer records into the telemetry registry (and jobs consult
+    the artifact cache) active in the context the master's event loop
+    runs in; jobs run on ``asyncio.to_thread`` workers, which carry
+    that context.
+
     Parameters
     ----------
     host, port:
         Bind address (port 0 picks a free port).
     max_slots:
         Concurrent worker threads for jobs.
-    registry:
-        Optional injected telemetry registry shared by every layer.
     executor:
         Optional :class:`repro.parallel.Executor` (serial/thread)
         the runner shards sweeps on.
@@ -51,17 +55,14 @@ class TestFloorMaster:
     __test__ = False  # not a pytest collection target
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 max_slots: int = 2, registry=None,
+                 max_slots: int = 2,
                  executor: Optional[Executor] = None):
-        self.telemetry = registry
-        self.hub = PubSubHub(registry=registry)
-        self.runner = JobRunner(registry=registry, executor=executor)
+        self.hub = PubSubHub()
+        self.runner = JobRunner(executor=executor)
         self.scheduler = Scheduler(self.runner, self.hub,
-                                   max_slots=max_slots,
-                                   registry=registry)
+                                   max_slots=max_slots)
         self.server = RPCServer(self._methods(), self.hub,
-                                host=host, port=port,
-                                registry=registry)
+                                host=host, port=port)
 
     def _methods(self) -> dict:
         return {
@@ -107,8 +108,8 @@ class TestFloorMaster:
                 "result": job.result, "partial": job.partial}
 
     def _telemetry(self) -> dict:
-        """The service registry's full snapshot."""
-        return telemetry.resolve(self.telemetry).to_dict()
+        """Snapshot of the registry the service records into."""
+        return telemetry.active().to_dict()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -164,7 +165,10 @@ def serve_in_thread(timeout_s: float = 30.0,
 
     Blocks until the server is bound; raises :class:`ReproError`
     if it fails to come up within *timeout_s*. Keyword arguments
-    go to the :class:`TestFloorMaster` constructor.
+    go to the :class:`TestFloorMaster` constructor. The loop thread
+    runs in a copy of the caller's context, so the service records
+    into the :func:`~repro.telemetry.use_registry` (and consults the
+    :func:`~repro.cache.use_cache`) scope open where it was started.
     """
     started = threading.Event()
     holder: dict = {}
@@ -190,7 +194,8 @@ def serve_in_thread(timeout_s: float = 30.0,
 
         asyncio.run(body())
 
-    thread = threading.Thread(target=main, daemon=True,
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(main,), daemon=True,
                               name="repro-service-master")
     thread.start()
     if not started.wait(timeout=timeout_s) or "error" in holder:

@@ -93,18 +93,14 @@ class PubSubHub:
     ----------
     default_maxsize:
         Queue bound for subscriptions that don't pick their own.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
-    def __init__(self, default_maxsize: int = 256, registry=None):
+    def __init__(self, default_maxsize: int = 256):
         if default_maxsize < 1:
             raise ConfigurationError(
                 f"queue bound must be >= 1, got {default_maxsize}"
             )
         self.default_maxsize = int(default_maxsize)
-        self.telemetry = registry
         self._subs: Dict[int, Subscription] = {}
         self._ids = itertools.count(1)
         self._seq: Dict[str, int] = {}
@@ -128,7 +124,7 @@ class PubSubHub:
         sub = Subscription(patterns, bound)
         sub._sub_id = next(self._ids)
         self._subs[sub._sub_id] = sub
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         tel.gauge("service.subscribers").set(len(self._subs))
         return sub
 
@@ -138,7 +134,7 @@ class PubSubHub:
         if not sub.closed:
             sub.closed = True
             sub._offer(None)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         tel.gauge("service.subscribers").set(len(self._subs))
 
     def publish(self, topic: str, data) -> int:
@@ -151,7 +147,7 @@ class PubSubHub:
         seq = self._seq.get(topic, 0) + 1
         self._seq[topic] = seq
         event = {"event": topic, "seq": seq, "data": data}
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         delivered = 0
         dropped = 0
         worst_lag = 0

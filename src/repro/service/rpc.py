@@ -85,18 +85,14 @@ class RPCServer:
     host, port:
         Bind address; port 0 picks a free port (see
         :attr:`address` after :meth:`start`).
-    registry:
-        Optional injected telemetry registry.
     """
 
     def __init__(self, methods: Dict[str, Callable], hub: PubSubHub,
-                 host: str = "127.0.0.1", port: int = 0,
-                 registry=None):
+                 host: str = "127.0.0.1", port: int = 0):
         self._methods = dict(methods)
         self.hub = hub
         self.host = host
         self.port = int(port)
-        self.telemetry = registry
         self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._conns: set = set()
@@ -139,7 +135,7 @@ class RPCServer:
                          writer: asyncio.StreamWriter) -> None:
         conn = _Connection(writer)
         self._conns.add(conn)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         tel.counter("service.rpc_connections").inc()
         try:
             while True:
@@ -166,7 +162,7 @@ class RPCServer:
         rid = req.get("id")
         method = req.get("method")
         params = req.get("params") or {}
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         tel.counter("service.rpc_requests").inc()
         try:
             if not isinstance(params, dict):

@@ -35,9 +35,6 @@ class JobRunner:
 
     Parameters
     ----------
-    registry:
-        Optional injected telemetry registry, forwarded to the
-        testers and runners each job builds.
     executor:
         Optional :class:`repro.parallel.Executor` for job types
         that can shard (the shmoo sweep). Serial/thread backends
@@ -47,14 +44,12 @@ class JobRunner:
         granularity (every cell is a checkpoint).
     """
 
-    def __init__(self, registry=None,
-                 executor: Optional[Executor] = None):
+    def __init__(self, executor: Optional[Executor] = None):
         if executor is not None and executor.backend == "process":
             raise ConfigurationError(
                 "the service runner streams partials through "
                 "closures; use a serial or thread executor"
             )
-        self.telemetry = registry
         self.executor = executor
         self._kinds: Dict[str, Callable[[JobContext, dict], Any]] = {
             "shmoo": self.run_shmoo_job,
@@ -83,7 +78,7 @@ class JobRunner:
                 f"unknown job kind {job.kind!r}; "
                 f"registered: {', '.join(self.kinds)}"
             ) from None
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span(f"service.job.{job.kind}"):
             return fn(ctx, job.params)
 
@@ -106,7 +101,7 @@ class JobRunner:
         fracs = [float(y) for y in params["strobe_fracs"]]
         n_bits = int(params.get("n_bits", 300))
         seed = int(params.get("seed", 1))
-        tester = MiniTester(registry=self.telemetry)
+        tester = MiniTester()
         base = strobe_rate_test(tester, n_bits=n_bits, seed=seed)
         total = len(rates) * len(fracs)
         done = {"cells": 0}
@@ -120,8 +115,7 @@ class JobRunner:
             return ok
 
         runner = ShmooRunner(test, x_name="rate (Gbps)",
-                             y_name="strobe (UI)",
-                             registry=self.telemetry)
+                             y_name="strobe (UI)")
         if params.get("adaptive", False):
             result = runner.run_adaptive(
                 rates, fracs,
@@ -156,7 +150,7 @@ class JobRunner:
         seed = int(params.get("seed", 1))
         if total_bits < 1:
             raise ConfigurationError("need a positive bit budget")
-        tester = MiniTester(registry=self.telemetry)
+        tester = MiniTester()
         rate = float(params.get("rate_gbps", tester.rate_gbps))
         plan = ShardPlan.for_range(total_bits, n_shards)
         ranges = [shard.items[0] for shard in plan.shards]
@@ -213,9 +207,7 @@ class JobRunner:
         acc = EyeAccumulator(
             rate, v_range=(-0.45, 0.45), threshold=0.0,
             n_time_bins=int(params.get("n_time_bins", 32)),
-            n_volt_bins=int(params.get("n_volt_bins", 32)),
-            registry=self.telemetry,
-        )
+            n_volt_bins=int(params.get("n_volt_bins", 32)))
         n = len(wf)
         for i in range(0, n, chunk):
             if ctx.should_abort():
@@ -252,9 +244,7 @@ class JobRunner:
         )
         card = ProbeCard(n_sites=int(params.get("n_sites", 4)))
         scheduler = MultiSiteScheduler(
-            card, test_time_s=float(params.get("test_time_s", 0.5)),
-            registry=self.telemetry,
-        )
+            card, test_time_s=float(params.get("test_time_s", 0.5)))
         ctx.progress(0, 1)
         run = scheduler.sort_wafer(wafer,
                                    seed=int(params.get("seed", 0)))

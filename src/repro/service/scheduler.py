@@ -49,13 +49,10 @@ class Scheduler:
         The :class:`~.pubsub.PubSubHub` receiving job events.
     max_slots:
         Concurrent worker threads.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
     def __init__(self, runner: JobRunner, hub: PubSubHub,
-                 max_slots: int = 2, registry=None):
+                 max_slots: int = 2):
         if max_slots < 1:
             raise ConfigurationError(
                 f"need >= 1 slot, got {max_slots}"
@@ -63,7 +60,6 @@ class Scheduler:
         self.runner = runner
         self.hub = hub
         self.max_slots = int(max_slots)
-        self.telemetry = registry
         self.jobs: Dict[int, Job] = {}
         self._heap: List[tuple] = []
         self._queued: set = set()
@@ -89,7 +85,7 @@ class Scheduler:
                   priority=priority, deadline_s=deadline_s)
         self.jobs[job.job_id] = job
         self._enqueue(job)
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         tel.counter("service.jobs_submitted").inc()
         self._publish_state(job)
         self._pump()
@@ -156,8 +152,7 @@ class Scheduler:
             job.abort_reason = reason
             job.finished_at = time.monotonic()
             self._drop_from_queue(job)
-            telemetry.resolve(self.telemetry) \
-                .counter("service.jobs_aborted").inc()
+            telemetry.active().counter("service.jobs_aborted").inc()
             self._publish_state(job)
             self._update_gauges()
             self._pump()
@@ -236,8 +231,7 @@ class Scheduler:
                 self._running.add(job.job_id)
                 job.state = RUNNING
                 job.request_resume()
-                telemetry.resolve(self.telemetry) \
-                    .counter("service.jobs_resumed").inc()
+                telemetry.active().counter("service.jobs_resumed").inc()
                 self._publish_state(job)
         self._maybe_preempt()
         self._update_gauges()
@@ -259,8 +253,7 @@ class Scheduler:
         victim.state = PAUSING
         victim.auto_resume = True
         victim.request_pause()
-        telemetry.resolve(self.telemetry) \
-            .counter("service.preemptions").inc()
+        telemetry.active().counter("service.preemptions").inc()
         self._publish_state(victim)
 
     def _start(self, job: Job) -> None:
@@ -286,8 +279,7 @@ class Scheduler:
             return  # resumed or aborted before the ack landed
         job.state = PAUSED
         self._running.discard(job.job_id)
-        telemetry.resolve(self.telemetry) \
-            .counter("service.jobs_paused").inc()
+        telemetry.active().counter("service.jobs_paused").inc()
         self._publish_state(job)
         if job.auto_resume:
             self._enqueue(job)
@@ -296,12 +288,11 @@ class Scheduler:
     def _on_deadline(self, job: Job) -> None:
         self._deadlines.pop(job.job_id, None)
         if job.state not in TERMINAL_STATES:
-            telemetry.resolve(self.telemetry) \
-                .counter("service.deadline_aborts").inc()
+            telemetry.active().counter("service.deadline_aborts").inc()
             self.abort(job.job_id, reason="deadline exceeded")
 
     async def _run(self, job: Job, ctx: JobContext) -> None:
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         try:
             payload = await asyncio.to_thread(self.runner.run, job,
                                               ctx)
@@ -342,7 +333,7 @@ class Scheduler:
         self.hub.publish(f"job.{job.job_id}.state", data)
 
     def _update_gauges(self) -> None:
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         states = [j.state for j in self.jobs.values()]
         tel.gauge("service.jobs_queued").set(states.count(PENDING))
         tel.gauge("service.jobs_running").set(len(self._running))

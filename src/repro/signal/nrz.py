@@ -35,15 +35,11 @@ class NRZEncoder:
         Analytic edge shape.
     dt:
         Output sample spacing in ps.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
     def __init__(self, rate_gbps: float, v_low: float = 0.0,
                  v_high: float = 1.0, t20_80: float = 0.0,
-                 shape: EdgeShape = EdgeShape.ERF, dt: float = 1.0,
-                 registry=None):
+                 shape: EdgeShape = EdgeShape.ERF, dt: float = 1.0):
         if v_high <= v_low:
             raise ConfigurationError(
                 f"v_high ({v_high}) must exceed v_low ({v_low})"
@@ -55,7 +51,6 @@ class NRZEncoder:
         self.t20_80 = float(t20_80)
         self.shape = shape
         self.dt = float(dt)
-        self.telemetry = registry
 
     def cache_key(self) -> str:
         """Canonical digest of this encoder's output-determining config.
@@ -233,7 +228,7 @@ class NRZEncoder:
                            jitter: Optional[JitterModel],
                            rng: np.random.Generator,
                            pad_ui: float) -> WaveformBatch:
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("nrz.encode_batch"):
             ui = self.unit_interval
             pad = pad_ui * ui

@@ -8,7 +8,7 @@ subsystem essentially free when disabled (the default).
 
 Usage
 -----
-Global collection (the singleton registry)::
+Process-wide collection (the default registry)::
 
     from repro import telemetry
 
@@ -17,23 +17,35 @@ Global collection (the singleton registry)::
     print(reg.to_prometheus())
     telemetry.disable()               # back to the free no-op path
 
-Isolated collection (tests, per-worker registries)::
+Scoped collection (tests, one job, one worker chunk)::
 
     with telemetry.use_registry(telemetry.Registry()) as reg:
         fabric.run(100)
     assert reg.to_dict()["counters"]["vortex.steps"] == 100
 
-Instrumented components also accept an injectable ``registry=``
-argument that overrides the module-level state for that instance.
+Scopes
+------
+:func:`enable` and :func:`disable` set the process-wide default.
+:func:`use_registry` opens a scope that is local to the current
+:mod:`contextvars` context, so two jobs on two threads each record
+into their own registry. A scope covers the calling thread, the
+asyncio tasks and ``asyncio.to_thread`` work it starts, the chunks
+a ``thread`` :class:`~repro.parallel.Executor` runs for it, and the
+event loop of a service started in it with
+:func:`~repro.service.serve_in_thread`. It does not cover a thread
+the caller starts itself: that thread sees the default (run its
+target under ``contextvars.copy_context().run`` to carry the scope
+over). Process and remote workers record into private registries
+whose snapshots merge back into the scope that ran them.
 
-Instrumentation sites call :func:`active` (or :func:`resolve` when
-they hold an injected registry) and never touch the singleton
-directly, so the disabled path is one module lookup plus shared
-no-op singletons — no allocation, no dict writes.
+Instrumentation sites call :func:`active` at call time and never
+touch the singleton directly, so the disabled path is one context
+lookup plus shared no-op singletons — no allocation, no dict writes.
 """
 
 from __future__ import annotations
 
+import contextvars
 from contextlib import contextmanager
 from typing import Optional, Union
 
@@ -49,7 +61,7 @@ from repro.telemetry.registry import NullRegistry, Registry, Span
 
 __all__ = [
     "Counter", "Gauge", "Timer", "Span", "Registry", "NullRegistry",
-    "NULL_REGISTRY", "get_registry", "active", "resolve", "enable",
+    "NULL_REGISTRY", "get_registry", "active", "enable",
     "disable", "enabled", "use_registry",
     "sanitize_metric_name", "snapshot_to_json", "snapshot_to_prometheus",
     "split_labels",
@@ -60,7 +72,12 @@ __all__ = [
 NULL_REGISTRY = NullRegistry()
 
 _singleton: Optional[Registry] = None
-_active: Union[Registry, NullRegistry] = NULL_REGISTRY
+#: The process-wide default, set by :func:`enable`/:func:`disable`.
+_default: Union[Registry, NullRegistry] = NULL_REGISTRY
+#: The innermost :func:`use_registry` scope of the current context
+#: (unset outside any scope).
+_scope: contextvars.ContextVar = contextvars.ContextVar(
+    "repro.telemetry.scope")
 
 
 def get_registry() -> Registry:
@@ -78,55 +95,47 @@ def get_registry() -> Registry:
 def active() -> Union[Registry, NullRegistry]:
     """The registry instrumented code should record into right now.
 
-    The singleton (or an injected override) when enabled; the shared
-    :data:`NULL_REGISTRY` when disabled.
+    The innermost :func:`use_registry` scope of the current context,
+    else the process-wide default: the registry :func:`enable`
+    installed, or the shared :data:`NULL_REGISTRY` when disabled.
     """
-    return _active
-
-
-def resolve(registry: Optional[Registry]
-            ) -> Union[Registry, NullRegistry]:
-    """*registry* if injected, else whatever :func:`active` returns.
-
-    The one-line helper every instrumented component with an
-    injectable registry uses.
-    """
-    return registry if registry is not None else _active
+    return _scope.get(_default)
 
 
 def enable(registry: Optional[Registry] = None) -> Registry:
-    """Start collecting into *registry* (default: the singleton).
+    """Make *registry* (default: the singleton) the process default.
 
-    Returns the now-active registry.
+    Contexts with an open :func:`use_registry` scope keep recording
+    into their scope. Returns the new default.
     """
-    global _active
-    _active = registry if registry is not None else get_registry()
-    return _active
+    global _default
+    _default = registry if registry is not None else get_registry()
+    return _default
 
 
 def disable() -> None:
-    """Stop collecting; instrumented code reverts to the no-op path."""
-    global _active
-    _active = NULL_REGISTRY
+    """Make the no-op path the process default again."""
+    global _default
+    _default = NULL_REGISTRY
 
 
 def enabled() -> bool:
-    """True while a real registry is actively collecting."""
-    return _active is not NULL_REGISTRY
+    """True while :func:`active` is a real, collecting registry."""
+    return active() is not NULL_REGISTRY
 
 
 @contextmanager
 def use_registry(registry: Optional[Registry] = None):
-    """Temporarily collect into *registry* (a fresh one by default).
+    """Collect into *registry* (a fresh one by default) in this context.
 
-    Restores the previous enabled/disabled state on exit — the
-    isolation primitive tests build on. Yields the registry.
+    The scope is local to the current :mod:`contextvars` context (see
+    the module docstring for what it covers) and is reset on exit, so
+    concurrent scopes on other threads neither see nor clobber it.
+    Yields the registry.
     """
-    global _active
     reg = registry if registry is not None else Registry()
-    previous = _active
-    _active = reg
+    token = _scope.set(reg)
     try:
         yield reg
     finally:
-        _active = previous
+        _scope.reset(token)

@@ -129,15 +129,10 @@ class DataVortexFabric:
     ----------
     config:
         Simulation parameters.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
-    def __init__(self, config: FabricConfig = FabricConfig(),
-                 registry=None):
+    def __init__(self, config: FabricConfig = FabricConfig()):
         self.config = config
-        self.telemetry = registry
         self.topology = VortexTopology(config.n_angles, config.n_heights)
         self.arrays: TopologyArrays = topology_arrays(self.topology)
         n = self.arrays.n_nodes
@@ -238,7 +233,7 @@ class DataVortexFabric:
         self.cycle += 1
         self.stats.cycles = self.cycle
 
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         if tel.enabled:
             n_ejected = sum(1 for d in decisions.values()
                             if d is RoutingDecision.EJECT)

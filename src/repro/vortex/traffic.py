@@ -129,13 +129,13 @@ def run_load_point(pattern: TrafficPattern, offered_load: float,
                    n_cycles: int = 300,
                    config: FabricConfig = FabricConfig(),
                    seed: int = 0,
-                   drain: bool = True,
-                   registry=None) -> LoadPoint:
+                   drain: bool = True) -> LoadPoint:
     """Drive the fabric at one offered load.
 
     Each cycle, every injection angle attempts a packet with
-    probability *offered_load*. An injected *registry* is handed to
-    the fabric, so a whole load point can be profiled in isolation.
+    probability *offered_load*. Run it inside
+    :func:`repro.telemetry.use_registry` to profile a whole load
+    point in isolation.
     """
     if not 0.0 <= offered_load <= 1.0:
         raise ConfigurationError(
@@ -143,7 +143,7 @@ def run_load_point(pattern: TrafficPattern, offered_load: float,
         )
     if n_cycles < 1:
         raise ConfigurationError("need >= 1 cycle")
-    fab = DataVortexFabric(config, registry=registry)
+    fab = DataVortexFabric(config)
     rng = np.random.default_rng(seed)
     for _ in range(n_cycles):
         for _ in range(config.n_angles):

@@ -124,23 +124,18 @@ class MultiSiteScheduler:
         the RNG stream differs from the serial model's single
         interleaved stream). The serial path stays the default and
         bit-exact.
-    registry:
-        Optional injected telemetry registry; defaults to the
-        module-level active one.
     """
 
     def __init__(self, card: ProbeCard, test_time_s: float = 2.0,
                  dut_factory: Optional[
                      Callable[[Tuple[int, int]], WLPDevice]] = None,
-                 executor: Optional[Executor] = None,
-                 registry=None):
+                 executor: Optional[Executor] = None):
         if test_time_s <= 0.0:
             raise ConfigurationError("test time must be positive")
         self.card = card
         self.test_time_s = float(test_time_s)
         self.dut_factory = dut_factory or _default_dut_factory
         self.executor = executor
-        self.telemetry = registry
 
     def _test_one(self, dut: WLPDevice,
                   rng: np.random.Generator) -> Tuple[bool, float]:
@@ -161,7 +156,7 @@ class MultiSiteScheduler:
         plan = self.card.plan_touchdowns(wafer)
         assignments: List[SiteAssignment] = []
         total_time = 0.0
-        tel = telemetry.resolve(self.telemetry)
+        tel = telemetry.active()
         with tel.span("wafer.sort"):
             for td_index, touchdown in enumerate(plan):
                 total_time += touchdown.index_time_s

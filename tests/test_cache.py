@@ -4,6 +4,7 @@ The load-bearing property: a cached pipeline is bit-identical to the
 uncached one, across every executor backend a sweep can run on.
 """
 
+import contextvars
 import dataclasses
 import enum
 import pickle
@@ -185,9 +186,12 @@ class TestArtifactCache:
 
 
 def _join_all(targets, timeout=30.0):
-    """Run each target on its own thread; fail if any is still
+    """Run each target on its own thread, in a copy of the caller's
+    context (so its scopes reach the thread); fail if any is still
     running *timeout* seconds after the start."""
-    threads = [threading.Thread(target=t, daemon=True) for t in targets]
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(t,), daemon=True)
+               for t in targets]
     for t in threads:
         t.start()
     deadline = time.monotonic() + timeout
@@ -361,6 +365,52 @@ class TestDiskBacking:
         hit, value = clone.get("k")  # via the shared directory
         assert hit
         assert np.array_equal(value, np.arange(3))
+
+
+class TestConcurrentSweeps:
+    def test_thread_sweeps_keep_their_own_scopes(self):
+        """Two overlapping thread-backend sweeps, each in its own
+        registry scope with its own cache: every cell sees its own
+        sweep's cache, every counter lands in its own registry, and
+        both grids equal a serial uncached sweep."""
+        xs = [float(x) for x in range(6)]
+        ys = [float(y) for y in range(4)]
+        overlap = threading.Barrier(2)
+        results = {}
+
+        def sweep(name):
+            cache = ArtifactCache()
+            seen = []
+
+            def cell(x, y):
+                if (x, y) == (xs[0], ys[0]):
+                    overlap.wait(10.0)  # both sweeps are mid-run
+                store = artifact_cache.active()
+                seen.append(store is cache)
+                telemetry.active().counter(f"cells.{name}").inc()
+                square = store.get_or_compute(
+                    canonical_digest("square", x), lambda: x * x)
+                return square > 4 * y
+
+            with telemetry.use_registry() as reg:
+                grid = ShmooRunner(cell, cache=cache).run(
+                    xs, ys, executor=Executor("thread", max_workers=2))
+            results[name] = (grid, cache, seen,
+                             reg.to_dict()["counters"])
+
+        _join_all([lambda: sweep("a"), lambda: sweep("b")])
+        serial = ShmooRunner(lambda x, y: x * x > 4 * y).run(xs, ys)
+        for name, other in (("a", "b"), ("b", "a")):
+            grid, cache, seen, counters = results[name]
+            assert grid.complete
+            assert np.array_equal(grid.passes, serial.passes)
+            assert len(seen) == len(xs) * len(ys) and all(seen)
+            assert counters[f"cells.{name}"] == len(xs) * len(ys)
+            assert f"cells.{other}" not in counters
+            assert counters["shmoo.runs"] == counters["parallel.runs"] \
+                == 1
+            assert counters["cache.misses"] == cache.misses == len(xs)
+            assert counters["cache.hits"] == cache.hits
 
 
 class TestActivation:

@@ -577,10 +577,10 @@ class TestTemplateCache:
     def test_template_reused_across_encodes(self):
         from repro import telemetry
 
-        reg = telemetry.Registry()
-        enc = NRZEncoder(2.5, t20_80=70.0, registry=reg)
-        enc.encode([0, 1, 0, 1])
-        enc.encode([1, 0, 1, 0])
+        with telemetry.use_registry() as reg:
+            enc = NRZEncoder(2.5, t20_80=70.0)
+            enc.encode([0, 1, 0, 1])
+            enc.encode([1, 0, 1, 0])
         counters = reg.to_dict()["counters"]
         assert counters["nrz.template_cache.misses"] == 1
         assert counters["nrz.template_cache.hits"] == 1
@@ -1084,13 +1084,13 @@ class TestKernelTelemetry:
     def test_vectorized_steps_counter(self):
         from repro import telemetry
 
-        reg = telemetry.Registry()
-        fab = DataVortexFabric(FabricConfig(n_angles=3, n_heights=4),
-                               registry=reg)
-        fab.vector_threshold = 0  # force the vectorized path
-        fab.submit(1)
-        fab.step()
-        fab.step()
+        with telemetry.use_registry() as reg:
+            fab = DataVortexFabric(FabricConfig(n_angles=3,
+                                                n_heights=4))
+            fab.vector_threshold = 0  # force the vectorized path
+            fab.submit(1)
+            fab.step()
+            fab.step()
         counters = reg.to_dict()["counters"]
         assert counters["vortex.vectorized_steps"] == 2
         assert counters["vortex.steps"] == 2
@@ -1098,12 +1098,12 @@ class TestKernelTelemetry:
     def test_scalar_steps_not_counted_as_vectorized(self):
         from repro import telemetry
 
-        reg = telemetry.Registry()
-        fab = DataVortexFabric(FabricConfig(n_angles=3, n_heights=4),
-                               registry=reg)
-        fab.vector_threshold = 10**9
-        fab.submit(1)
-        fab.step()
+        with telemetry.use_registry() as reg:
+            fab = DataVortexFabric(FabricConfig(n_angles=3,
+                                                n_heights=4))
+            fab.vector_threshold = 10**9
+            fab.submit(1)
+            fab.step()
         counters = reg.to_dict()["counters"]
         assert "vortex.vectorized_steps" not in counters
         assert counters["vortex.steps"] == 1

@@ -229,9 +229,8 @@ class TestMultiTenantFloor:
     def test_telemetry_over_rpc(self):
         from repro import telemetry as tel_mod
 
-        registry = tel_mod.Registry()
-        with serve_in_thread(max_slots=1,
-                             registry=registry) as handle:
+        with tel_mod.use_registry(), \
+                serve_in_thread(max_slots=1) as handle:
             with handle.client(timeout_s=60) as cli:
                 cli.subscribe("job.*")
                 job = cli.submit(kind="ber",
@@ -247,3 +246,20 @@ class TestMultiTenantFloor:
                     "service.events_published"] >= 4
                 assert snap["counters"]["service.rpc_requests"] >= 3
                 assert "service.jobs_running" in snap["gauges"]
+
+    def test_service_records_into_its_start_scope(self):
+        """Jobs record into the scope open where the service started,
+        never into a scope the client thread opens meanwhile."""
+        from repro import telemetry as tel_mod
+
+        with tel_mod.use_registry() as started_in, \
+                serve_in_thread(max_slots=1) as handle:
+            with tel_mod.use_registry() as client_side, \
+                    handle.client(timeout_s=60) as cli:
+                job = cli.submit(kind="eye", params=EYE_PARAMS)
+                status = wait_terminal(cli, job["job_id"])
+        assert status["state"] == "completed"
+        counters = started_in.to_dict()["counters"]
+        assert counters["nrz.encodes"] == 1
+        assert counters["service.jobs_completed"] == 1
+        assert client_side.names() == []

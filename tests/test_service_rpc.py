@@ -16,14 +16,16 @@ from repro.service.rpc import Client, RemoteError, RPCServer
 
 @contextlib.contextmanager
 def rpc_server(methods, registry=None):
-    """An RPCServer on a background loop thread, for sync tests."""
+    """An RPCServer on a background loop thread, for sync tests;
+    the loop thread records into *registry* (a fresh one by
+    default)."""
     holder = {}
     started = threading.Event()
 
     def main():
         async def body():
-            hub = PubSubHub(registry=registry)
-            server = RPCServer(methods, hub, registry=registry)
+            hub = PubSubHub()
+            server = RPCServer(methods, hub)
             address = await server.start()
             holder.update(address=address, hub=hub,
                           loop=asyncio.get_running_loop(),
@@ -34,7 +36,8 @@ def rpc_server(methods, registry=None):
             finally:
                 await server.stop()
 
-        asyncio.run(body())
+        with telemetry.use_registry(registry):
+            asyncio.run(body())
 
     thread = threading.Thread(target=main, daemon=True)
     thread.start()

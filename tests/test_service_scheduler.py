@@ -20,9 +20,9 @@ from repro.service import (
 )
 
 
-def make_scheduler(max_slots=1, registry=None):
+def make_scheduler(max_slots=1):
     """A scheduler with synthetic "spin" and "gate" job kinds."""
-    runner = JobRunner(registry=registry)
+    runner = JobRunner()
 
     def spin(ctx, params):
         steps = int(params.get("steps", 50))
@@ -49,9 +49,8 @@ def make_scheduler(max_slots=1, registry=None):
     runner.register("spin", spin)
     runner.register("gate", gate)
     runner.register("boom", boom)
-    hub = PubSubHub(registry=registry)
-    sched = Scheduler(runner, hub, max_slots=max_slots,
-                      registry=registry)
+    hub = PubSubHub()
+    sched = Scheduler(runner, hub, max_slots=max_slots)
     sched._test_gates = gates
     return sched
 

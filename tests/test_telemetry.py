@@ -5,10 +5,13 @@ export formats, and the disabled fast path.
 """
 
 import json
+import threading
 
 import pytest
 
+from repro import cache as artifact_cache
 from repro import telemetry
+from repro.cache import ArtifactCache
 from repro.errors import ConfigurationError
 from repro.telemetry import (
     NULL_REGISTRY, NullRegistry, Registry,
@@ -157,10 +160,46 @@ class TestRegistryIsolation:
         a.counter("n").inc(5)
         assert "n" not in b.to_dict()["counters"]
 
-    def test_resolve_prefers_injected(self):
-        injected = Registry()
-        assert telemetry.resolve(injected) is injected
-        assert telemetry.resolve(None) is telemetry.active()
+    @pytest.mark.parametrize("module,scope,make", [
+        (telemetry, telemetry.use_registry, Registry),
+        (artifact_cache, artifact_cache.use_cache, ArtifactCache),
+    ], ids=["use_registry", "use_cache"])
+    def test_scopes_are_context_local(self, module, scope, make):
+        """Two threads' scopes, interleaved A in, B in, A reads,
+        A out, B reads, B out: each thread sees only its own scope,
+        and the default is back afterwards."""
+        default = module.active()
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def job_a():
+            with scope(make()) as mine:
+                a_in.set()
+                b_in.wait(10.0)
+                seen["a"] = module.active() is mine
+            a_out.set()
+
+        def job_b():
+            a_in.wait(10.0)
+            with scope(make()) as mine:
+                b_in.set()
+                a_out.wait(10.0)
+                seen["b"] = module.active() is mine
+
+        threads = [threading.Thread(target=job, daemon=True)
+                   for job in (job_a, job_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a": True, "b": True}
+        assert module.active() is default
+        fresh = []
+        t = threading.Thread(target=lambda: fresh.append(module.active()))
+        t.start()
+        t.join(10.0)
+        assert fresh == [default]
 
     def test_reset_drops_everything(self):
         reg = Registry()

@@ -18,11 +18,10 @@ from repro.vortex.traffic import UniformTraffic, run_load_point
 
 class TestShmooTelemetry:
     def _run(self, reg):
-        runner = ShmooRunner(
-            lambda x, y: x + y < 4.0,
-            x_name="x", y_name="y", registry=reg,
-        )
-        return runner.run([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+        runner = ShmooRunner(lambda x, y: x + y < 4.0,
+                             x_name="x", y_name="y")
+        with telemetry.use_registry(reg):
+            return runner.run([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
 
     def test_counters_match_grid(self):
         reg = telemetry.Registry()
@@ -55,12 +54,12 @@ class TestShmooTelemetry:
 
 class TestVortexTelemetry:
     def test_load_point_counters_match_stats(self):
-        reg = telemetry.Registry()
-        point = run_load_point(
-            UniformTraffic(), offered_load=0.4, n_cycles=50,
-            config=FabricConfig(n_angles=2, n_heights=4),
-            seed=3, registry=reg,
-        )
+        with telemetry.use_registry() as reg:
+            point = run_load_point(
+                UniformTraffic(), offered_load=0.4, n_cycles=50,
+                config=FabricConfig(n_angles=2, n_heights=4),
+                seed=3,
+            )
         snap = reg.to_dict()["counters"]
         stats = point.stats
         assert snap["vortex.steps"] == stats.cycles
@@ -74,13 +73,12 @@ class TestVortexTelemetry:
 
     def test_fabric_snapshot_nonempty_and_schema_stable(self):
         def one_run():
-            reg = telemetry.Registry()
-            fab = DataVortexFabric(
-                FabricConfig(n_angles=2, n_heights=4), registry=reg
-            )
-            for dest in (0, 1, 2, 3):
-                fab.submit(dest)
-            fab.drain()
+            with telemetry.use_registry() as reg:
+                fab = DataVortexFabric(FabricConfig(n_angles=2,
+                                                    n_heights=4))
+                for dest in (0, 1, 2, 3):
+                    fab.submit(dest)
+                fab.drain()
             return reg.to_dict()
 
         first, second = one_run(), one_run()
@@ -91,9 +89,9 @@ class TestVortexTelemetry:
 
 class TestMiniTesterTelemetry:
     def test_loopback_counts_strobes_and_errors(self):
-        reg = telemetry.Registry()
-        tester = MiniTester(registry=reg)
-        result = tester.run_loopback(n_bits=200, seed=5)
+        with telemetry.use_registry() as reg:
+            tester = MiniTester()
+            result = tester.run_loopback(n_bits=200, seed=5)
         snap = reg.to_dict()["counters"]
         assert snap["minitester.loopbacks"] == 1
         assert snap["minitester.sampler_strobes"] == 200

@@ -50,9 +50,15 @@ near-zero-cost disabled mode (the default — lookups resolve to
 shared no-op singletons, bounded in
 `benchmarks/test_bench_telemetry_overhead.py`).
 
-Enable globally, or inject a private `Registry` into any
-component (`NRZEncoder`, `DataVortexFabric`, `MiniTester`,
-`TestSession`, `ShmooRunner`, ...) via its `registry=` argument:
+Enable globally, or collect into a private `Registry` through a
+scope. `telemetry.enable()` and `disable()` set the process-wide
+default. `telemetry.use_registry()` is local to the calling
+context: it covers the calling thread, its asyncio tasks and
+`to_thread` work, `thread`-executor chunks, and a service started
+inside it with `serve_in_thread`, but not threads the caller starts
+itself. Two jobs on two threads therefore each record into their
+own registry. Every instrumented call records into
+`telemetry.active()` of the context it runs in:
 
 ```python
 from repro import telemetry
@@ -188,7 +194,9 @@ correctness contract — cached pipelines are *bit-identical* to
 uncached ones — is property-tested in `tests/test_cache.py`.
 
 Opt in per call (`cache=`), per component (`ShmooRunner(...,
-cache=...)`, `TestProgram(..., cache=...)`), or by scope:
+cache=...)`, `TestProgram(..., cache=...)`), or by scope
+(`use_cache` is context-local, like `telemetry.use_registry`;
+`enable`/`disable` set the process-wide default):
 
 ```python
 from repro import cache as artifact_cache
