@@ -10,20 +10,16 @@ actually changed.
 
 Usage
 -----
-Opt-in per call or per component::
-
-    from repro.cache import ArtifactCache
-    from repro.signal.prbs import prbs_bits
-
-    cache = ArtifactCache(max_bytes=64 << 20)
-    bits = prbs_bits(7, 4000, cache=cache)     # computes + stores
-    bits = prbs_bits(7, 4000, cache=cache)     # hit
-
-Scoped activation (every cache-aware stage underneath resolves it)::
+Open a scope; every cache-aware stage called inside it consults
+the scope's cache through :func:`active`::
 
     from repro import cache as artifact_cache
+    from repro.signal.prbs import prbs_bits
 
+    cache = artifact_cache.ArtifactCache(max_bytes=64 << 20)
     with artifact_cache.use_cache(cache):
+        bits = prbs_bits(7, 4000)              # computes + stores
+        bits = prbs_bits(7, 4000)              # hit
         runner.run(rates, swings)              # warm across cells
 
 :func:`enable` and :func:`disable` set the process-wide default
@@ -74,7 +70,7 @@ from repro.cache.remote import RemoteCacheTier
 __all__ = [
     "ArtifactCache", "NullCache", "NULL_CACHE", "RemoteCacheTier",
     "canonical_digest", "array_digest", "DIGEST_SIZE",
-    "active", "resolve", "enable", "disable", "enabled", "use_cache",
+    "active", "enable", "disable", "enabled", "use_cache",
     "get_or_compute_rows",
 ]
 
@@ -98,16 +94,6 @@ def active() -> Union[ArtifactCache, NullCache]:
     installed, or the shared :data:`NULL_CACHE` when disabled.
     """
     return _scope.get(_default)
-
-
-def resolve(cache: Optional[ArtifactCache]
-            ) -> Union[ArtifactCache, NullCache]:
-    """*cache* if injected, else whatever :func:`active` returns.
-
-    The one-line helper every cache-aware stage with an injectable
-    ``cache=`` argument uses.
-    """
-    return cache if cache is not None else active()
 
 
 def get_or_compute_rows(store, keys: Sequence[str],
@@ -161,8 +147,8 @@ def use_cache(cache: Optional[ArtifactCache] = None):
 
     The scope is local to the current :mod:`contextvars` context (see
     the module docstring for what it covers) and is reset on exit;
-    yields the cache. The scoping primitive ``TestProgram`` and
-    ``ShmooRunner`` build on.
+    yields the cache. The one way to hand a cache to stage calls;
+    ``ShmooRunner(cache=)`` opens it around each sweep.
     """
     c = cache if cache is not None else ArtifactCache()
     token = _scope.set(c)

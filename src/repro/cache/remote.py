@@ -27,7 +27,7 @@ read-through traffic from every worker.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 from repro import telemetry
 from repro.cache.artifact import ArtifactCache
@@ -48,11 +48,11 @@ class RemoteCacheTier:
     publish:
         ``publish(key, value)`` — fire-and-forget upload of a
         computed artifact.
-    local:
-        Optional pre-built front cache; defaults to a private
-        in-memory :class:`ArtifactCache` (no disk backing — the
-        master owns the disk tier). It runs silenced, so its own
-        bookkeeping never double-counts the tier's telemetry.
+
+    The front cache is a private in-memory :class:`ArtifactCache`
+    (no disk backing — the master owns the disk tier). It runs
+    silenced, so its own bookkeeping never double-counts the tier's
+    telemetry.
 
     Counts go to the registry active at call time, so those recorded
     inside a chunk's collection scope ride home in its snapshot.
@@ -62,12 +62,11 @@ class RemoteCacheTier:
     enabled = True
 
     def __init__(self, fetch: Callable[[str], Tuple[bool, Any]],
-                 publish: Callable[[str, Any], None],
-                 local: Optional[ArtifactCache] = None):
+                 publish: Callable[[str, Any], None]):
         self._fetch = fetch
         self._publish = publish
-        self._local = local if local is not None else ArtifactCache(
-            max_entries=LOCAL_ENTRIES, max_bytes=LOCAL_BYTES)
+        self._local = ArtifactCache(max_entries=LOCAL_ENTRIES,
+                                    max_bytes=LOCAL_BYTES)
         self.local_hits = 0
         self.remote_hits = 0
         self.misses = 0

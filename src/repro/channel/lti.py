@@ -65,7 +65,7 @@ class LTIChannel:
             self.attenuation_db, self.delay_ps, self.order,
         )
 
-    def apply(self, waveform: Waveform, cache=None) -> Waveform:
+    def apply(self, waveform: Waveform) -> Waveform:
         """Propagate *waveform* through the channel.
 
         The DC component passes at the channel gain; the filter acts
@@ -73,14 +73,12 @@ class LTIChannel:
         running midpoint). The result is row 0 of a one-row
         :meth:`apply_batch` pass.
 
-        Parameters
-        ----------
-        cache:
-            Optional injected :class:`repro.cache.ArtifactCache`;
-            defaults to the module-level active one. Convolutions
-            are memoized keyed ``(channel config, input waveform
-            token)`` — the input token is its producing stage's
-            provenance when attached, else a content digest.
+        Convolutions are memoized in the active artifact cache
+        (:func:`repro.cache.active`) keyed ``(channel config, input
+        waveform token)``: the input token is its producing stage's
+        provenance when attached, else a content digest. Hits are
+        the stored waveform itself, not a copy, and must be treated
+        as immutable.
         """
         from repro import cache as _cache
 
@@ -89,7 +87,7 @@ class LTIChannel:
                 waveform.values[None], dt=waveform.dt, t0=waveform.t0,
             )).row(0)
 
-        store = _cache.resolve(cache)
+        store = _cache.active()
         if store.enabled:
             key = _cache.canonical_digest(
                 "lti.apply", self.cache_key(), waveform.cache_token(),
@@ -98,8 +96,7 @@ class LTIChannel:
                 .set_cache_token(key)
         return filtered()
 
-    def apply_batch(self, batch: WaveformBatch,
-                    cache=None) -> WaveformBatch:
+    def apply_batch(self, batch: WaveformBatch) -> WaveformBatch:
         """Propagate every channel of *batch* in one filter pass.
 
         `scipy` runs the SOS filter along the sample axis of the
@@ -117,7 +114,7 @@ class LTIChannel:
         """
         from repro import cache as _cache
 
-        store = _cache.resolve(cache)
+        store = _cache.active()
         if not store.enabled or not batch.n_channels:
             return self._apply_batch_impl(batch)
 
@@ -207,16 +204,14 @@ class IdealChannel(LTIChannel):
         super().__init__(bandwidth_ghz=1e6, attenuation_db=0.0,
                          delay_ps=delay_ps, order=1)
 
-    def apply(self, waveform: Waveform, cache=None) -> Waveform:
+    def apply(self, waveform: Waveform) -> Waveform:
         """Pass *waveform* through, shifted by the delay.
 
-        *cache* is accepted for signature compatibility with
-        :meth:`LTIChannel.apply` and unused: a shift costs less than
-        a cache lookup.
+        Never consults the artifact cache: a shift costs less than a
+        cache lookup.
         """
         return waveform.shifted(self.delay_ps)
 
-    def apply_batch(self, batch: WaveformBatch,
-                    cache=None) -> WaveformBatch:
+    def apply_batch(self, batch: WaveformBatch) -> WaveformBatch:
         """Pass the whole batch through, shifted by the delay."""
         return batch.shifted(self.delay_ps)

@@ -114,8 +114,7 @@ class EyeDiagram:
     def from_waveform(cls, waveform: Waveform, rate_gbps: float,
                       threshold: Optional[float] = None,
                       t_first_bit: float = 0.0,
-                      discard_ui: int = 1,
-                      cache=None) -> "EyeDiagram":
+                      discard_ui: int = 1) -> "EyeDiagram":
         """Fold *waveform* into an eye at *rate_gbps*.
 
         The fold is one row of :meth:`from_batch` and is
@@ -124,6 +123,12 @@ class EyeDiagram:
         instead of a phase per sample, so
         :meth:`samples_near_phase` reads only the phases near its
         window (one period of them when the fold tiles).
+
+        Folds are memoized in the active artifact cache
+        (:func:`repro.cache.active`) keyed ``(waveform token, rate,
+        threshold, origin, discard)``; hits return the stored diagram
+        itself, which, like every :class:`EyeDiagram`, must be
+        treated as immutable.
 
         Parameters
         ----------
@@ -134,13 +139,6 @@ class EyeDiagram:
         discard_ui:
             Leading/trailing unit intervals to exclude (pattern
             start-up and shut-down edges).
-        cache:
-            Optional injected :class:`repro.cache.ArtifactCache`;
-            defaults to the module-level active one. Folds are
-            memoized keyed ``(waveform token, rate, threshold,
-            origin, discard)``; hits return the stored diagram
-            itself, which — like every :class:`EyeDiagram` — must be
-            treated as immutable.
 
         Raises
         ------
@@ -157,7 +155,7 @@ class EyeDiagram:
                 rate_gbps, threshold, t_first_bit, discard_ui,
                 False)[0]
 
-        store = _cache.resolve(cache)
+        store = _cache.active()
         if store.enabled:
             key = _cache.canonical_digest(
                 "eye.fold", waveform.cache_token(), float(rate_gbps),
@@ -170,7 +168,7 @@ class EyeDiagram:
     def from_batch(cls, batch: WaveformBatch, rate_gbps: float,
                    threshold: Optional[float] = None,
                    t_first_bit: float = 0.0, discard_ui: int = 1,
-                   merge: bool = False, cache=None):
+                   merge: bool = False):
         """Fold every channel of *batch* at *rate_gbps* at once.
 
         The analysis window, fold phases, and threshold crossings
@@ -178,6 +176,9 @@ class EyeDiagram:
         one vectorized pass (rows share one time grid, so the window
         indices and phase fold are computed once);
         :meth:`from_waveform` is the one-row case.
+
+        Per-channel folds are memoized per row under the *same* keys
+        as the single-channel path; merged folds are not cached.
 
         Parameters
         ----------
@@ -190,14 +191,12 @@ class EyeDiagram:
             crossings — the all-channels color-graded eye — using
             one shared threshold (the batch-global midpoint when
             None).
-        threshold, t_first_bit, discard_ui, cache:
-            As for :meth:`from_waveform`. Per-channel folds are
-            memoized per row under the *same* keys as the
-            single-channel path; merged folds are not cached.
+        threshold, t_first_bit, discard_ui:
+            As for :meth:`from_waveform`.
         """
         from repro import cache as _cache
 
-        store = _cache.resolve(cache)
+        store = _cache.active()
         if merge or not store.enabled or not batch.n_channels:
             return cls._fold_batch_impl(batch, rate_gbps, threshold,
                                         t_first_bit, discard_ui,

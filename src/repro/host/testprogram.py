@@ -76,24 +76,17 @@ class TestProgram:
     stop_on_fail:
         Abort the flow at the first failing step (production
         default); False datalogs everything.
-    cache:
-        Optional :class:`repro.cache.ArtifactCache` activated for
-        the duration of each :meth:`run` — steps that measure the
-        same stimulus (e.g. eye opening and jitter from one
-        pattern) then share rendered waveforms instead of
-        re-synthesizing them per step.
     """
 
     __test__ = False  # not a pytest collection target
 
     def __init__(self, name: str, steps: List[TestStep] = None,
-                 stop_on_fail: bool = True, cache=None):
+                 stop_on_fail: bool = True):
         if not name:
             raise ConfigurationError("program name must be non-empty")
         self.name = name
         self.steps: List[TestStep] = list(steps or [])
         self.stop_on_fail = bool(stop_on_fail)
-        self.cache = cache
 
     def add_step(self, name: str,
                  measure: Callable[[object], float],
@@ -107,22 +100,16 @@ class TestProgram:
         """Execute against *system*; returns the filled datalog.
 
         Each run is traced as a ``testprogram.<name>`` span with one
-        nested span per step, plus pass/fail step counters. When the
-        program holds a cache it is active across the whole flow, so
-        steps sharing a stimulus reuse each other's artifacts.
+        nested span per step, plus pass/fail step counters. Run it
+        inside a :func:`repro.cache.use_cache` scope to let steps
+        that measure the same stimulus (e.g. eye opening and jitter
+        from one pattern) share rendered waveforms instead of
+        re-synthesizing them per step.
         """
         if not self.steps:
             raise ConfigurationError(
                 f"program {self.name!r} has no steps"
             )
-        if self.cache is not None:
-            from repro import cache as artifact_cache
-
-            with artifact_cache.use_cache(self.cache):
-                return self._run_impl(system)
-        return self._run_impl(system)
-
-    def _run_impl(self, system) -> Datalog:
         tel = telemetry.active()
         datalog = Datalog()
         with tel.span(f"testprogram.{self.name}"):

@@ -82,14 +82,14 @@ class SamplingScope:
 
     def eye_diagram(self, waveform: Waveform, rate_gbps: float,
                     rng: Optional[np.random.Generator] = None,
-                    cache=None, **kwargs) -> EyeDiagram:
+                    **kwargs) -> EyeDiagram:
         """Build an eye from one long acquisition.
 
-        ``cache`` forwards to :meth:`EyeDiagram.from_waveform`; the
-        fold is only memoizable when the scope is noiseless (an
-        acquisition otherwise draws from *rng*), so a noisy scope
-        skips the acquire-stage token and the fold re-keys from the
-        acquired record's content.
+        The fold (:meth:`EyeDiagram.from_waveform`) consults the
+        active artifact cache. It can only hit when the scope is
+        noiseless (an acquisition otherwise draws from *rng*), so a
+        noisy scope skips the acquire-stage token and the fold
+        re-keys from the acquired record's content.
         """
         acquired = self.acquire(waveform, rng)
         if (self.vertical_noise_rms == 0.0
@@ -97,15 +97,14 @@ class SamplingScope:
             # Noiseless acquisition is a pure copy: carry the input's
             # provenance so the fold stage can hit.
             acquired.set_cache_token(waveform.cache_token())
-        return EyeDiagram.from_waveform(acquired, rate_gbps,
-                                        cache=cache, **kwargs)
+        return EyeDiagram.from_waveform(acquired, rate_gbps, **kwargs)
 
     def measure_eye(self, waveform: Waveform, rate_gbps: float,
                     rng: Optional[np.random.Generator] = None,
-                    cache=None, **kwargs) -> EyeMetrics:
+                    **kwargs) -> EyeMetrics:
         """Acquire, fold, and measure an eye in one call."""
         return measure_eye(self.eye_diagram(waveform, rate_gbps, rng,
-                                            cache=cache, **kwargs))
+                                            **kwargs))
 
     # -- single-edge jitter (Figure 9) -------------------------------------
 

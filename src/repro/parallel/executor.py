@@ -381,8 +381,8 @@ class Executor:
         ``pool`` (a started :class:`~repro.parallel.pool.WorkerPool`
         to share — the executor will not close it) or, when
         spawning its own, ``heartbeat_s`` / ``heartbeat_timeout_s``
-        / ``connect_timeout_s`` / ``spawn`` / ``host`` / ``port`` /
-        ``cache``. The other backends read nothing from it.
+        / ``connect_timeout_s`` / ``spawn`` / ``host`` / ``port``.
+        The other backends read nothing from it.
     """
 
     def __init__(self, backend: str = "serial",
@@ -445,7 +445,7 @@ class Executor:
             opts = {k: v for k, v in self.backend_options.items()
                     if k in ("heartbeat_s", "heartbeat_timeout_s",
                              "connect_timeout_s", "spawn", "host",
-                             "port", "cache")}
+                             "port")}
             pool = WorkerPool(n_workers=self.max_workers, **opts)
             self._owns_pool = True
         self._remote_pool = pool

@@ -118,16 +118,15 @@ class WorkerPool:
         to ``4 * heartbeat_s``.
     connect_timeout_s:
         How long :meth:`start` waits for the initial *n_workers*.
-    cache:
-        Cache served to workers for the shared read-through tier;
-        defaults to the cache active where the latest run was
-        called (:func:`repro.cache.active`), so ``use_cache``
-        scoping on the master extends across the whole pool. The
-        pool's own threads do not run in the caller's context, so
-        each run captures the caller's cache (and telemetry
-        registry) for them, and the capture stays in force after
-        the run returns, for publishes that land late. Before the
-        first run they use the process defaults.
+
+    The cache served to workers for the shared read-through tier is
+    the one active where the latest run was called
+    (:func:`repro.cache.active`), so a ``use_cache`` scope on the
+    master extends across the whole pool. The pool's own threads do
+    not run in the caller's context, so each run captures the
+    caller's cache (and telemetry registry) for them, and the
+    capture stays in force after the run returns, for publishes that
+    land late. Before the first run they use the process defaults.
 
     Remote traffic is recorded into the telemetry registry active
     where the run was called, as ``parallel.remote.*`` counters and
@@ -140,8 +139,7 @@ class WorkerPool:
                  heartbeat_s: float = 0.5,
                  heartbeat_timeout_s: Optional[float] = None,
                  connect_timeout_s: float = 60.0,
-                 secret: Optional[str] = None,
-                 cache=None):
+                 secret: Optional[str] = None):
         if n_workers < 0 or (spawn and n_workers < 1):
             raise ConfigurationError(
                 f"need >= 1 spawned worker, got {n_workers}"
@@ -170,7 +168,6 @@ class WorkerPool:
         #: worker launches (``--secret`` / ``REPRO_POOL_SECRET``).
         self.secret = resolved.decode("utf-8") if resolved \
             else transport.new_nonce()
-        self.cache = cache
         #: ``(registry, cache)`` active where the latest run was
         #: called; what the pool's own threads record into and serve.
         self._caller: Optional[tuple] = None
@@ -441,8 +438,7 @@ class WorkerPool:
         return telemetry.active() if caller is None else caller[0]
 
     def _active_cache(self):
-        if self.cache is not None:
-            return self.cache
+        """The cache the pool's own threads serve to workers."""
         caller = self._caller
         return artifact_cache.active() if caller is None else caller[1]
 

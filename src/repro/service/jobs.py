@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 
@@ -220,8 +220,3 @@ class JobContext:
         aborted job returns it)."""
         self.job.partial = data
         self.emit("partial", data)
-
-
-def priority_key(job: Job, seq: int) -> Tuple[int, int]:
-    """Heap key: higher priority first, FIFO within a priority."""
-    return (-job.priority, seq)

@@ -164,10 +164,11 @@ def serve_in_thread(timeout_s: float = 30.0,
     """Run a :class:`TestFloorMaster` on a background loop thread.
 
     Blocks until the server is bound; raises :class:`ReproError`
-    if it fails to come up within *timeout_s*. Keyword arguments
-    go to the :class:`TestFloorMaster` constructor. The loop thread
-    runs in a copy of the caller's context, so the service records
-    into the :func:`~repro.telemetry.use_registry` (and consults the
+    if the master cannot be built or bound, or fails to come up
+    within *timeout_s*. Keyword arguments go to the
+    :class:`TestFloorMaster` constructor. The loop thread runs in a
+    copy of the caller's context, so the service records into the
+    :func:`~repro.telemetry.use_registry` (and consults the
     :func:`~repro.cache.use_cache`) scope open where it was started.
     """
     started = threading.Event()
@@ -175,10 +176,10 @@ def serve_in_thread(timeout_s: float = 30.0,
 
     def main() -> None:
         async def body() -> None:
-            master = TestFloorMaster(**master_kwargs)
             try:
+                master = TestFloorMaster(**master_kwargs)
                 address = await master.start()
-            except Exception as exc:  # surface bind failures
+            except Exception as exc:  # surface config/bind failures
                 holder["error"] = exc
                 started.set()
                 return

@@ -39,16 +39,19 @@ class JobRunner:
         Optional :class:`repro.parallel.Executor` for job types
         that can shard (the shmoo sweep). Serial/thread backends
         only — the partial-streaming wrappers close over the job
-        context and don't pickle. None (default) runs sweeps
-        serially, which also gives the finest pause/abort
-        granularity (every cell is a checkpoint).
+        context and don't pickle, so a ``process`` or ``remote``
+        executor raises :class:`ConfigurationError` here. None
+        (default) runs sweeps serially, which also gives the finest
+        pause/abort granularity (every cell is a checkpoint).
     """
 
     def __init__(self, executor: Optional[Executor] = None):
-        if executor is not None and executor.backend == "process":
+        if executor is not None \
+                and executor.backend in ("process", "remote"):
             raise ConfigurationError(
-                "the service runner streams partials through "
-                "closures; use a serial or thread executor"
+                f"the service runner streams partials through "
+                f"closures, which the {executor.backend!r} backend "
+                f"cannot ship; use a serial or thread executor"
             )
         self.executor = executor
         self._kinds: Dict[str, Callable[[JobContext, dict], Any]] = {

@@ -83,11 +83,19 @@ class NRZEncoder:
 
     def encode(self, bits, jitter: Optional[JitterModel] = None,
                rng: Optional[np.random.Generator] = None,
-               pad_ui: float = 1.0, cache=None) -> Waveform:
+               pad_ui: float = 1.0) -> Waveform:
         """Render *bits* as an analog waveform.
 
         The render is row 0 of a one-row :meth:`encode_batch` block:
         for the same RNG, jittered output is bit-identical too.
+
+        Renders are memoized in the active artifact cache
+        (:func:`repro.cache.active`) keyed ``(encoder config, bits,
+        pad_ui)``, but only when *jitter* is None: a jitter model
+        draws from the caller's RNG, whose state the key cannot
+        capture. Hits are the identical waveform, not a copy, and
+        must be treated as immutable; each carries a provenance
+        token for cheap downstream keys.
 
         Parameters
         ----------
@@ -101,14 +109,6 @@ class NRZEncoder:
         pad_ui:
             Flat padding, in unit intervals, before and after the
             pattern so boundary edges are fully rendered.
-        cache:
-            Optional injected :class:`repro.cache.ArtifactCache`;
-            defaults to the module-level active one. Renders are
-            memoized keyed ``(encoder config, bits, pad_ui)`` only
-            when *jitter* is None — a jitter model draws from the
-            caller's RNG, whose state the key cannot capture — and
-            hits are the identical (immutable) waveform, which
-            carries a provenance token for cheap downstream keys.
         """
         bits = np.asarray(bits).astype(np.int8)
         if len(bits) == 0:
@@ -124,7 +124,7 @@ class NRZEncoder:
             return self._encode_batch_impl(bits[None], jitter, rng,
                                            pad_ui).row(0)
 
-        store = _cache.resolve(cache)
+        store = _cache.active()
         if store.enabled and jitter is None:
             key = _cache.canonical_digest(
                 "nrz.encode", self.cache_key(), bits, float(pad_ui),
@@ -134,7 +134,7 @@ class NRZEncoder:
 
     def encode_batch(self, bits, jitter: Optional[JitterModel] = None,
                      rng: Optional[np.random.Generator] = None,
-                     pad_ui: float = 1.0, cache=None) -> WaveformBatch:
+                     pad_ui: float = 1.0) -> WaveformBatch:
         """Render a ``(channels, n_bits)`` bit block as a batch.
 
         Every channel is rendered through one flattened kernel pass
@@ -153,8 +153,9 @@ class NRZEncoder:
 
         Caching composes per row: each channel is keyed with the
         *same* digest formula as the single-channel path, so batched
-        and per-channel renders share cache entries. Rows that hit
-        are reused; only the missing rows are rendered (as a
+        and per-channel renders share cache entries (and a jittered
+        block bypasses the cache, as in :meth:`encode`). Rows that
+        hit are reused; only the missing rows are rendered (as a
         sub-batch) and stored individually.
         """
         bits = np.asarray(bits)
@@ -173,7 +174,7 @@ class NRZEncoder:
 
         from repro import cache as _cache
 
-        store = _cache.resolve(cache)
+        store = _cache.active()
         if not (store.enabled and jitter is None) or not len(bits):
             return self._encode_batch_impl(bits, jitter, rng, pad_ui)
 

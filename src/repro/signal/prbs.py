@@ -42,8 +42,7 @@ def _check_prbs_args(order: int, length: int, seed: int) -> None:
         )
 
 
-def prbs_bits(order: int, length: int, seed: int = 1,
-              cache=None) -> np.ndarray:
+def prbs_bits(order: int, length: int, seed: int = 1) -> np.ndarray:
     """Generate *length* bits of a PRBS-*order* sequence.
 
     Generation is blockwise over GF(2) (see
@@ -51,6 +50,10 @@ def prbs_bits(order: int, length: int, seed: int = 1,
     against the scalar LFSR (:func:`prbs_bits_scalar`), including
     the :func:`advance_state` / :func:`prbs_shard_states` tiling
     contract used by sharded runs.
+
+    The stream is memoized in the active artifact cache
+    (:func:`repro.cache.active`) keyed ``(order, length, seed)``;
+    hits are bit-identical to fresh generation.
 
     Parameters
     ----------
@@ -60,11 +63,6 @@ def prbs_bits(order: int, length: int, seed: int = 1,
         Number of bits to produce.
     seed:
         Nonzero initial LFSR state.
-    cache:
-        Optional injected :class:`repro.cache.ArtifactCache`;
-        defaults to the module-level active one. The stream is
-        keyed ``(order, length, seed)`` and hits are bit-identical
-        to fresh generation.
 
     Returns
     -------
@@ -81,7 +79,7 @@ def prbs_bits(order: int, length: int, seed: int = 1,
         return _kernels.prbs_bits_blockwise(order, length, [seed],
                                             tap_a, tap_b)[0]
 
-    store = _cache.resolve(cache)
+    store = _cache.active()
     if store.enabled:
         key = _cache.canonical_digest("prbs_bits", order, length, seed)
         return store.get_or_compute(key, generate)

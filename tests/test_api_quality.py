@@ -69,3 +69,51 @@ def test_package_top_level_lazy_exports():
 
     with pytest.raises(AttributeError):
         repro.definitely_not_a_thing
+
+
+#: The only callables that take a ``cache`` argument: the process
+#: default, the scope, and the sweep shorthand that also ships its
+#: cache to ``process`` shards. Stages read ``repro.cache.active()``.
+CACHE_TAKERS = {
+    "repro.cache.enable",
+    "repro.cache.use_cache",
+    "repro.host.shmoo.ShmooRunner.__init__",
+}
+
+
+def _public_callables():
+    """``(qualified name, function)`` for every public function, and
+    every public method and ``__init__`` of every public class,
+    defined in a ``repro`` module."""
+    for module in ALL_MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") \
+                    or getattr(obj, "__module__", "") != module.__name__:
+                continue
+            qualname = f"{module.__name__}.{name}"
+            if inspect.isfunction(obj):
+                yield qualname, obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_") and attr != "__init__":
+                        continue
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        yield f"{qualname}.{attr}", member
+
+
+def test_cache_has_one_route():
+    """Stages take no ``cache=``: a ``use_cache`` scope (or the
+    ``enable`` default) is the one way to hand them a cache, and
+    ``ShmooRunner(cache=)`` the one sweep shorthand."""
+    from repro import cache as artifact_cache
+    from repro.cache import RemoteCacheTier
+
+    takers = {qualname for qualname, fn in _public_callables()
+              if "cache" in inspect.signature(fn).parameters}
+    extra = sorted(takers - CACHE_TAKERS)
+    assert not extra, f"these take a cache argument: {extra}"
+    assert CACHE_TAKERS <= takers
+    assert not hasattr(artifact_cache, "resolve")
+    assert "local" not in inspect.signature(RemoteCacheTier).parameters

@@ -169,8 +169,8 @@ class TestArtifactCache:
         costs only its header."""
         values = np.random.default_rng(0).normal(0.0, 0.3, (4, 100_800))
         cache = ArtifactCache()
-        eyes = EyeDiagram.from_batch(WaveformBatch(values), 2.5,
-                                     cache=cache)
+        with artifact_cache.use_cache(cache):
+            eyes = EyeDiagram.from_batch(WaveformBatch(values), 2.5)
         assert all(eye.voltages.base is None for eye in eyes)
         # Crossing phases are views of the fold's shared array.
         assert cache.nbytes == sum(eye.voltages.nbytes + 64
@@ -178,10 +178,12 @@ class TestArtifactCache:
         assert cache.nbytes > 3_200_000
         capped = ArtifactCache(max_bytes=2 * eyes[0].voltages.nbytes
                                + 200)
-        EyeDiagram.from_batch(WaveformBatch(values), 2.5, cache=capped)
+        with artifact_cache.use_cache(capped):
+            EyeDiagram.from_batch(WaveformBatch(values), 2.5)
         assert len(capped) == 2 and capped.evictions == 2
         viewing = ArtifactCache()
-        EyeDiagram.from_waveform(Waveform(values[0]), 2.5, cache=viewing)
+        with artifact_cache.use_cache(viewing):
+            EyeDiagram.from_waveform(Waveform(values[0]), 2.5)
         assert viewing.nbytes == 64
 
 
@@ -414,11 +416,6 @@ class TestConcurrentSweeps:
 
 
 class TestActivation:
-    def test_resolve_prefers_injected(self):
-        mine = ArtifactCache()
-        assert artifact_cache.resolve(mine) is mine
-        assert isinstance(artifact_cache.resolve(None), NullCache)
-
     def test_use_cache_scopes_and_restores(self):
         assert not artifact_cache.enabled()
         with artifact_cache.use_cache() as cache:
@@ -457,8 +454,9 @@ class TestStageBitIdentity:
     def test_prbs_cached_equals_uncached(self, order, length, seed):
         plain = prbs_bits(order, length, seed)
         cache = ArtifactCache()
-        first = prbs_bits(order, length, seed, cache=cache)
-        warm = prbs_bits(order, length, seed, cache=cache)
+        with artifact_cache.use_cache(cache):
+            first = prbs_bits(order, length, seed)
+            warm = prbs_bits(order, length, seed)
         assert np.array_equal(plain, first)
         assert np.array_equal(plain, warm)
         assert cache.hits == 1
@@ -482,16 +480,18 @@ class TestStageBitIdentity:
     def test_key_sensitivity_across_stages(self):
         """Any config change must produce a distinct artifact."""
         cache = ArtifactCache()
-        a = prbs_bits(7, 64, seed=1, cache=cache)
-        b = prbs_bits(7, 64, seed=2, cache=cache)
-        c = prbs_bits(9, 64, seed=1, cache=cache)
+        with artifact_cache.use_cache(cache):
+            a = prbs_bits(7, 64, seed=1)
+            b = prbs_bits(7, 64, seed=2)
+            c = prbs_bits(9, 64, seed=1)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert cache.stats()["entries"] == 3
         enc25 = NRZEncoder(2.5, t20_80=72.0)
         enc50 = NRZEncoder(5.0, t20_80=72.0)
-        w1 = enc25.encode(a, cache=cache)
-        w2 = enc50.encode(a, cache=cache)
+        with artifact_cache.use_cache(cache):
+            w1 = enc25.encode(a)
+            w2 = enc50.encode(a)
         assert len(w1) != len(w2)
 
     def test_jittered_encode_bypasses_cache(self):
@@ -502,8 +502,8 @@ class TestStageBitIdentity:
         enc = NRZEncoder(2.5, t20_80=72.0)
         jitter = JitterBudget(rj_rms=2.0).build()
         before = cache.stats()["stores"]
-        enc.encode(bits, jitter=jitter,
-                   rng=np.random.default_rng(1), cache=cache)
+        with artifact_cache.use_cache(cache):
+            enc.encode(bits, jitter=jitter, rng=np.random.default_rng(1))
         assert cache.stats()["stores"] == before
 
     def test_eye_fold_cached(self):
@@ -511,9 +511,9 @@ class TestStageBitIdentity:
         wf = NRZEncoder(2.5, v_low=-0.4, v_high=0.4,
                         t20_80=72.0).encode(bits)
         plain = EyeDiagram.from_waveform(wf, 2.5)
-        cache = ArtifactCache()
-        cold = EyeDiagram.from_waveform(wf, 2.5, cache=cache)
-        warm = EyeDiagram.from_waveform(wf, 2.5, cache=cache)
+        with artifact_cache.use_cache():
+            cold = EyeDiagram.from_waveform(wf, 2.5)
+            warm = EyeDiagram.from_waveform(wf, 2.5)
         assert warm is cold  # zero-copy hit
         assert np.array_equal(plain.voltages, warm.voltages)
         assert np.array_equal(plain.crossing_phases,

@@ -107,13 +107,17 @@ class TestLTIChannel:
         assert len(out) == 0
         assert out.t0 == 25.0
 
-    def test_ideal_channel_takes_cache_argument(self):
-        from repro.cache import ArtifactCache
+    def test_ideal_channel_under_cache_scope(self):
+        """A pure shift never consults the active cache."""
+        from repro import cache as artifact_cache
 
         wf = bits_to_waveform([0, 1, 0], 2.5)
-        out = IdealChannel(delay_ps=10.0).apply(wf, cache=ArtifactCache())
+        with artifact_cache.use_cache() as cache:
+            out = IdealChannel(delay_ps=10.0).apply(wf)
         np.testing.assert_array_equal(out.values, wf.values)
         assert out.t0 == wf.t0 + 10.0
+        assert len(cache) == 0
+        assert cache.hits == cache.misses == 0
 
 
 class TestTraces:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import ArtifactCache
+from repro import cache as artifact_cache
 from repro.errors import MeasurementError
 from repro.eye._binning import fold_period, fold_phases
 from repro.eye.diagram import EyeDiagram
@@ -154,9 +154,9 @@ def _folds(n_samples, seed):
         batch = WaveformBatch(values, dt=dt)
         # The window starts at the first sample past one discarded UI.
         grid = (np.ceil(ui / dt) * dt, dt)
-        store = ArtifactCache()
-        cold = EyeDiagram.from_batch(batch, rate, cache=store)
-        warm = EyeDiagram.from_batch(batch, rate, cache=store)
+        with artifact_cache.use_cache():
+            cold = EyeDiagram.from_batch(batch, rate)
+            warm = EyeDiagram.from_batch(batch, rate)
         plain = EyeDiagram.from_batch(batch, rate)
         tag = f"{rate:g} Gbps/{dt:g} ps"
         folds.append((f"{tag} from_waveform", EyeDiagram.from_waveform(

@@ -14,8 +14,7 @@ from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.parallel import Executor, ShardError, WorkerPool
 
-#: CI runs the smoke tests with REPRO_PARALLEL_WORKERS=2.
-N_WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
+N_WORKERS = 2
 
 BACKENDS = ("serial", "thread", "process")
 

@@ -33,7 +33,7 @@ from repro.wafer.map import WaferMap
 from repro.wafer.probe import ProbeCard
 from repro.wafer.scheduler import MultiSiteScheduler
 
-N_WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
+N_WORKERS = 2
 
 
 # Module-level work functions so workers can unpickle them.

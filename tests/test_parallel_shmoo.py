@@ -5,8 +5,6 @@ backend produces a bit-identical pass/fail grid and identical
 telemetry counter totals versus the serial walk.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from repro import telemetry
 from repro.host.shmoo import ShmooRunner
 from repro.parallel import Executor
 
-N_WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
+N_WORKERS = 2
 
 
 def circle_test(x, y):

@@ -1,7 +1,5 @@
 """Parallel wafer sort and sharded BER characterization."""
 
-import os
-
 import pytest
 
 from repro import telemetry
@@ -13,7 +11,7 @@ from repro.wafer.map import DieState, WaferMap
 from repro.wafer.probe import ProbeCard
 from repro.wafer.scheduler import MultiSiteScheduler
 
-N_WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
+N_WORKERS = 2
 
 
 def small_wafer():

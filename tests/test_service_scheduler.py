@@ -13,10 +13,11 @@ import threading
 import pytest
 
 from repro import telemetry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+from repro.parallel import Executor
 from repro.service import (
     ABORTED, COMPLETED, FAILED, PAUSED, PAUSING, PENDING, RUNNING,
-    JobRunner, PubSubHub, Scheduler,
+    JobRunner, PubSubHub, Scheduler, TestFloorMaster, serve_in_thread,
 )
 
 
@@ -374,3 +375,17 @@ class TestObservability:
             Scheduler(runner, PubSubHub(), max_slots=0)
 
         asyncio.run(asyncio.sleep(0))
+
+    @pytest.mark.parametrize("backend", ("process", "remote"))
+    def test_shipped_executors_rejected_up_front(self, backend):
+        """Shmoo jobs stream partials through closures that neither
+        shipped backend can pickle, so the runner (and with it the
+        master and ``serve_in_thread``) refuses such an executor at
+        construction instead of failing every shmoo job. Building
+        an ``Executor`` starts no worker."""
+        with pytest.raises(ConfigurationError, match=backend):
+            JobRunner(executor=Executor(backend))
+        with pytest.raises(ConfigurationError, match=backend):
+            TestFloorMaster(executor=Executor(backend))
+        with pytest.raises(ReproError, match=backend):
+            serve_in_thread(timeout_s=10.0, executor=Executor(backend))

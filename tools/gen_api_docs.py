@@ -193,10 +193,14 @@ from a caller RNG; a noisy `SamplingScope` acquisition). The
 correctness contract — cached pipelines are *bit-identical* to
 uncached ones — is property-tested in `tests/test_cache.py`.
 
-Opt in per call (`cache=`), per component (`ShmooRunner(...,
-cache=...)`, `TestProgram(..., cache=...)`), or by scope
-(`use_cache` is context-local, like `telemetry.use_registry`;
-`enable`/`disable` set the process-wide default):
+Opt in by scope: every cache-aware stage consults
+`cache.active()` when it is called, so a `use_cache` scope is the
+one way to hand a cache to stage calls (it is context-local, like
+`telemetry.use_registry`; `enable`/`disable` set the process-wide
+default). Stages take no `cache=` argument. `ShmooRunner(...,
+cache=...)` is the sweep shorthand: it opens the scope around each
+sweep, and it is the one route that also reaches `process` shards,
+which receive the cache's pickled clone:
 
 ```python
 from repro import cache as artifact_cache
@@ -457,8 +461,8 @@ worker declared dead has its in-flight chunks requeued to
 survivors (chunk failures and timeouts, by contrast, charge
 `Executor.max_retries`).
 
-**Shared read-through cache.** With an `ArtifactCache` active on
-the master (or passed as `WorkerPool(cache=...)`), workers resolve
+**Shared read-through cache.** With an `ArtifactCache` active
+where the master calls the run (a `use_cache` scope), workers resolve
 `cache.get_or_compute` through a `repro.cache.RemoteCacheTier`:
 worker-local LRU front, then a master fetch over the wire, then
 compute-and-publish. The first worker to render an artifact warms
