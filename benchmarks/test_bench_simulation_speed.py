@@ -133,13 +133,15 @@ def test_shmoo_sweep_throughput(benchmark):
 def test_threaded_sweep_cold_throughput(benchmark):
     """Cold 32x32 margin shmoo on two threads, a fresh cache per round.
 
-    Both thread shards ask for every rate's opening, and at most of
-    these rates the UI is not a whole number of 1 ps samples, so
-    this times single-flight cache lookups (each stage artifact is
-    computed once, the other shard waits for it) and eye folds read
-    without a phase per sample. The margins straddle the openings,
-    so the pass boundary crosses the grid; it must equal the serial
-    uncached grid, and no key may be stored twice.
+    Shards are whole rate columns, so the two threads compute
+    different rates' openings side by side, and at most of these
+    rates the UI is not a whole number of 1 ps samples: this times
+    two concurrent pipelines and eye folds read without a phase per
+    sample. The one key both shards ask for is the seedless
+    ``prbs_bits(7, 256)`` stream, so a round waits at most once. The
+    margins straddle the openings, so the pass boundary crosses the
+    grid; it must equal the serial uncached grid, and no key may be
+    stored twice.
     """
     rates = list(np.linspace(1.0, 3.0, 32))
     margins = list(np.linspace(0.9982, 0.9998, 32))
@@ -162,6 +164,9 @@ def test_threaded_sweep_cold_throughput(benchmark):
     assert 0 < int(result.passes.sum()) < result.passes.size
     for cache in caches:
         assert cache.stores == len(cache)
+        assert cache.waits <= 1
+
+
 def test_batched_pipeline_throughput(benchmark):
     """Render + filter + couple + fold a 64-channel block end to end.
 

@@ -8,6 +8,7 @@ sample. These benches measure the claim on the NRZ-render kernel
 for reference.
 """
 
+import statistics
 import timeit
 
 import numpy as np
@@ -109,13 +110,22 @@ def test_enabled_render_overhead_bounded():
 
     render_plain()
     render_telemetered()
-    plain_s = min(timeit.repeat(render_plain, repeat=5, number=1))
-    tele_s = min(timeit.repeat(render_telemetered, repeat=5,
-                               number=1))
-    assert reg.to_dict()["counters"]["nrz.encodes"] == 6
-    # min-of-5 still jitters a few percent; the bound below is the
-    # claim (5%) plus measurement slack.
-    assert tele_s < plain_s * 1.15, (
-        f"enabled telemetry render {tele_s * 1e3:.1f} ms vs plain "
-        f"{plain_s * 1e3:.1f} ms"
+    # Interleaved pairs, alternating which side runs first, judged by
+    # the median per-pair ratio. A pair's two renders run at the
+    # machine's speed of the moment, so neither a lone fast render
+    # nor a slow spell on a shared runner moves the verdict, as
+    # either moves the ratio of each side's minimum.
+    plain_s, tele_s = [], []
+    sides = ((render_plain, plain_s), (render_telemetered, tele_s))
+    for i in range(15):
+        for render, times in sides[::1 if i % 2 == 0 else -1]:
+            times.append(timeit.timeit(render, number=1))
+    ratio = statistics.median(t / p for p, t in zip(plain_s, tele_s))
+    assert reg.to_dict()["counters"]["nrz.encodes"] == 16
+    # The bound is the claim (5%) plus measurement slack.
+    assert ratio < 1.15, (
+        f"enabled telemetry render costs {ratio:.3f}x a plain one "
+        f"(median of {len(plain_s)} pairs; medians "
+        f"{statistics.median(tele_s) * 1e3:.1f} vs "
+        f"{statistics.median(plain_s) * 1e3:.1f} ms)"
     )

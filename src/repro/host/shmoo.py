@@ -177,8 +177,10 @@ class ShmooRunner:
         duration of each sweep, so cells sharing stimulus stages
         (same PRBS stream, same rendered pattern at a given rate)
         reuse them. Serial and thread backends share the object;
-        process shards receive its pickled clone — give the cache a
-        ``disk_path`` so they also share entries.
+        process shards receive its pickled clone. A shard holds whole
+        x columns, so each process shard computes its columns'
+        artifacts once; give the cache a ``disk_path`` so shards
+        also share entries across columns (a shared PRBS stream).
     """
 
     def __init__(self, test: Callable[[float, float], bool],
@@ -217,13 +219,18 @@ class ShmooRunner:
             cells are marked in :attr:`ShmooResult.evaluated`.
         executor:
             A :class:`repro.parallel.Executor`; when given, the grid
-            is partitioned by :class:`~repro.parallel.ShardPlan` and
-            the shards run on its backend. The process backend
+            is split by :meth:`~repro.parallel.ShardPlan.split` into
+            shards of whole x columns, which run on its backend.
+            Put on x the axis whose cells share cached stimulus
+            (the rate, in a rate sweep): concurrent shards then ask
+            the cache for different keys. The process backend
             needs a picklable ``test`` callable. Serial behavior,
             grids, and telemetry totals are identical across
             backends.
         n_shards:
             Shards for the parallel path (default: 4 per worker).
+            When it does not divide ``len(x_values)``, a column can
+            straddle two shards, which then both need its artifacts.
         """
         x_values = list(x_values)
         y_values = list(y_values)
@@ -286,7 +293,14 @@ class ShmooRunner:
                      n_shards) -> bool:
         if n_shards is None:
             n_shards = executor.max_workers * 4
-        plan = ShardPlan.for_grid(x_values, y_values, n_shards)
+        # Whole x columns per shard: cells sharing an x share cached
+        # stimulus, so concurrent shards ask the cache for different
+        # keys. A column that straddles two shards (n_shards does not
+        # divide len(x_values)) costs one wait or duplicate compute.
+        plan = ShardPlan.split([(yi, xi, x, y)
+                                for xi, x in enumerate(x_values)
+                                for yi, y in enumerate(y_values)],
+                               n_shards)
         fn = functools.partial(_evaluate_shard, self.test,
                                cache=self.cache)
 

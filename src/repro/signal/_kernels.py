@@ -101,9 +101,13 @@ _TEMPLATE_POINTS_PER_T2080 = 256
 _TEMPLATE_CACHE_MAX = 32
 
 #: Window samples per block of :func:`render_nrz_batch`'s in-window
-#: pass: small enough that a block's temporaries stay in cache, large
-#: enough that the per-block overhead stays small.
-_RENDER_BLOCK = 16384
+#: pass: small enough that a block's temporaries (512 KB each) stay
+#: in cache, large enough that the per-block overhead stays small.
+#: Two renders on two threads, as a thread-executor sweep runs them,
+#: can hand the interpreter lock over at every short numpy call; at
+#: 16 K such renders spent a quarter to a third of their time waiting
+#: for it, at 64 K about a sixth.
+_RENDER_BLOCK = 65536
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,12 +5,16 @@ backend produces a bit-identical pass/fail grid and identical
 telemetry counter totals versus the serial walk.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cache as artifact_cache
 from repro import telemetry
+from repro.cache import ArtifactCache
 from repro.host.shmoo import ShmooRunner
 from repro.parallel import Executor
 
@@ -25,6 +29,19 @@ def circle_test(x, y):
 
 def parity_test(x, y):
     return (int(x) + int(y)) % 2 == 0
+
+
+def _column_stimulus(x):
+    time.sleep(0.005)  # long enough for a second shard to ask meanwhile
+    return x / 8.0
+
+
+def column_cell(x, y):
+    """A cell whose cached stimulus is keyed by x alone, as a rate
+    sweep's rendered pattern is keyed by its rate."""
+    stimulus = artifact_cache.active().get_or_compute(
+        f"column:{x!r}", lambda: _column_stimulus(x))
+    return stimulus >= y
 
 
 class TestBackendEquivalence:
@@ -67,6 +84,40 @@ class TestBackendEquivalence:
             n_shards=n_shards,
         )
         assert np.array_equal(serial.passes, sharded.passes)
+
+
+class TestColumnShards:
+    """Shards hold whole x columns, so concurrent shards never ask the
+    cache for one key. The counts below need ``n_shards`` to divide
+    ``len(xs)``: then no column straddles two shards."""
+
+    xs = [float(x) for x in range(8)]
+    ys = [0.1, 0.3, 0.5, 0.7]
+    n_shards = 4
+
+    def test_process_shards_compute_each_column_once(self):
+        serial = ShmooRunner(column_cell).run(self.xs, self.ys)
+        runner = ShmooRunner(column_cell, cache=ArtifactCache())
+        with Executor("process", max_workers=N_WORKERS) as ex, \
+                telemetry.use_registry() as reg:
+            sharded = runner.run(self.xs, self.ys, executor=ex,
+                                 n_shards=self.n_shards)
+        counters = reg.to_dict()["counters"]
+        assert np.array_equal(serial.passes, sharded.passes)
+        # Each shard's pickled cache computes its two columns once and
+        # serves their other three cells.
+        assert counters["cache.misses"] == len(self.xs)
+        assert counters["cache.hits"] == 24
+
+    def test_thread_shards_never_wait_on_each_other(self):
+        serial = ShmooRunner(column_cell).run(self.xs, self.ys)
+        cache = ArtifactCache()
+        with Executor("thread", max_workers=N_WORKERS) as ex:
+            sharded = ShmooRunner(column_cell, cache=cache).run(
+                self.xs, self.ys, executor=ex, n_shards=self.n_shards)
+        assert np.array_equal(serial.passes, sharded.passes)
+        assert cache.waits == 0
+        assert cache.stores == len(self.xs)
 
 
 class TestProgress:

@@ -96,7 +96,7 @@ equivalence contract against its scalar reference, enforced by
   block. The baseline is run-length: the steps of each distinct
   step bin are summed in edge order, a per-row running sum of those
   sums gives each run's level, and one `repeat` fills the runs. The
-  window terms are added in blocks of about 16 K window samples,
+  window terms are added in blocks of about 64 K window samples,
   cut only at window gaps (every earlier window ends before every
   later one starts, whatever the edge order). Both are
   bit-identical to one full-length `bincount`/`cumsum` and one
@@ -212,13 +212,17 @@ print(cache.stats())                 # hits/misses/evictions/bytes
 
 `ArtifactCache.get_or_compute` is single-flight: the first thread
 to miss a key computes it outside the cache lock, and threads asking
-for the key meanwhile wait and read the stored entry (a hit), so the
-two thread shards of a cold sweep compute each artifact once. A
-compute that raises wakes its waiters, and each then claims the key
-and computes it itself; a compute asking for its own key on the same
-thread runs inline. `NullCache`, `RemoteCacheTier`,
-`get_or_compute_rows`, and processes sharing a `disk_path` do not
-single-flight.
+for the key meanwhile wait and read the stored entry (a hit), so one
+cache computes each artifact once. A compute that raises wakes its
+waiters, and each then claims the key and computes it itself; a
+compute asking for its own key on the same thread runs inline.
+`NullCache`, `RemoteCacheTier`, `get_or_compute_rows`, and processes
+sharing a `disk_path` do not single-flight. A sharded `ShmooRunner`
+sweep gives each shard whole x columns (put the rate on x), so its
+concurrent shards no longer ask for one key: two thread shards of a
+cold sweep compute different rates side by side instead of waiting
+on each other, and a `process` shard computes its columns'
+artifacts once.
 
 Traffic is observable as `cache.{hits,misses,evictions,stores,waits}`
 counters and the `cache.bytes` gauge: `misses` counts computes, and
@@ -386,7 +390,9 @@ parent registry so an N-worker run reads identically to serial.
 shards up to `max_retries`, and enforces per-chunk timeouts.
 `ShardPlan` partitions grids (`for_grid`), bit budgets
 (`for_range`), and touchdown site lists (`for_touchdowns`), then
-reassembles results in canonical order:
+reassembles results in canonical order. `ShmooRunner.run` splits its
+grid into shards of whole x columns instead, so cells sharing cached
+stimulus (one rate's rendered pattern) stay in one shard:
 
 ```python
 from repro.host.shmoo import ShmooRunner
