@@ -54,11 +54,22 @@ def fold_phases(offset: float, dt: float, n: int,
     """
     if n <= 0:
         return np.empty(0, dtype=np.float64)
+    phases = period_phases(offset, dt, n, ui)
+    return phases if len(phases) == n else np.resize(phases, n)
+
+
+def period_phases(offset: float, dt: float, n: int,
+                  ui: float) -> np.ndarray:
+    """One period of :func:`fold_phases`, or all *n* if it does not tile.
+
+    :func:`fold_period` decides the period, and
+    ``fold_phases(offset, dt, n, ui)[j]`` is ``p[j % len(p)]`` of
+    these, bit for bit, so a per-sample reader such as
+    :func:`repro.signal._kernels.density_bin` can work on one period.
+    """
     period = fold_period(dt, n, ui)
-    if period is not None:
-        return np.resize(grid_phases(offset, dt, np.arange(period), ui),
-                         n)
-    return grid_phases(offset, dt, np.arange(n), ui)
+    return grid_phases(offset, dt, np.arange(n if period is None
+                                             else period), ui)
 
 
 def grid_phases(offset: float, dt: float, index: np.ndarray,

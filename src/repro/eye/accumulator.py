@@ -13,7 +13,9 @@ Equivalence contract
 For the same record, ``EyeAccumulator`` fed any chunking produces a
 density grid **identical** to ``EyeDiagram.histogram2d`` over the
 same voltage range: binning is additive over chunks, both sides
-fold sample phases with :func:`repro.eye._binning.fold_phases`, and
+fold sample phases with :func:`repro.eye._binning.fold_phases` (a
+chunk whose fold tiles is binned on one period of them,
+:func:`repro.eye._binning.period_phases`), and
 :func:`repro.signal._kernels.density_bin` counts exactly what the
 ``np.histogram2d`` behind ``EyeDiagram.histogram2d`` counts over the
 same edges. Scalar and batched chunks go through the same kernels
@@ -179,7 +181,7 @@ class EyeAccumulator:
         row's whole record; the streamed circular-mean sums match to
         float round-off (summation order).
         """
-        from repro.eye._binning import fold_phases
+        from repro.eye._binning import period_phases
         from repro.signal import _kernels
 
         c = batch.n_channels
@@ -213,12 +215,12 @@ class EyeAccumulator:
             ui = self.unit_interval
             values = batch.values
             n = batch.n_samples
-            phases = fold_phases(batch.t0 - self.t_first_bit,
-                                 self._dt, n, ui)
+            phases = period_phases(batch.t0 - self.t_first_bit,
+                                   self._dt, n, ui)
             hist = _kernels.density_bin(phases, values, self.t_edges,
                                         self.v_edges)
             if self.n_channels is None:
-                self.grid += hist.sum(axis=0)
+                self.grid += hist[0] if c == 1 else hist.sum(axis=0)
             else:
                 self.grid += hist
                 self.n_samples_per_channel += n
@@ -246,9 +248,7 @@ class EyeAccumulator:
                 if self.n_channels is None:
                     self._sum_sin += float(np.sin(angles).sum())
                     self._sum_cos += float(np.cos(angles).sum())
-                    self.phase_hist += np.bincount(
-                        bins, minlength=self.n_phase_bins
-                    ).astype(np.int64)
+                    np.add.at(self.phase_hist, bins, 1)
                 else:
                     self._sum_sin += np.bincount(
                         rows, weights=np.sin(angles), minlength=c)

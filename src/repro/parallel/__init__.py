@@ -6,11 +6,11 @@ then be done in parallel, increasing production throughput by an
 order of magnitude" (Figure 13). This subsystem is that replication
 for the simulation stack: one :class:`Executor` (``serial``,
 ``thread``, ``process`` or ``remote`` backend — four fixed names)
-runs :class:`ShardPlan`-partitioned workloads — shmoo grids, wafer
-touchdown plans, long BER runs — with deterministic per-shard
-seeding, bounded retry, timeouts, and telemetry that merges back
-into the parent registry so a 16-worker run reads identically to a
-serial one. Every backend keeps its books in one
+runs partitioned workloads — shmoo grids and long BER runs split by
+:class:`ShardPlan`, a wafer's concurrent touchdowns — with
+deterministic per-shard seeding, bounded retry, timeouts, and
+telemetry that merges back into the parent registry so a 16-worker
+run reads identically to a serial one. Every backend keeps its books in one
 :class:`ChunkLedger`, the property-tested state machine that alone
 decides attempts, retries and timeouts; the remote backend runs on
 a :class:`WorkerPool` of worker processes over TCP.

@@ -1,18 +1,19 @@
-"""Shard planning: partition work, reassemble in canonical order.
+"""Shard planning: partition an ordered workload into shards.
 
 A :class:`ShardPlan` slices an ordered workload — a shmoo grid's
-cells, a wafer touchdown plan, the bit budget of a long BER run —
-into contiguous, near-equal shards that execute independently, then
-puts the per-shard results back together in the order the serial
-code would have produced them. Planning is pure bookkeeping: the
-same plan drives the serial, thread, and process backends, which is
-what makes backend equivalence testable.
+cells, the bit budget of a long BER run — into contiguous,
+near-equal shards that execute independently; concatenating the
+shards' items reproduces the canonical order, so the caller puts
+per-shard results back where the serial code would have produced
+them. Planning is pure bookkeeping: the same plan drives the
+serial, thread, and process backends, which is what makes backend
+equivalence testable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class Shard:
     Attributes
     ----------
     index:
-        Position of this shard in the plan (reassembly key).
+        Position of this shard in the plan.
     start:
         Offset of the shard's first item in the canonical order.
     items:
@@ -52,14 +53,10 @@ class ShardPlan:
         their items reproduces the canonical item order.
     total:
         Total items across all shards.
-    shape:
-        Optional ``(ny, nx)`` grid shape when the items are the
-        row-major cells of a 2-D grid (set by :meth:`for_grid`).
     """
 
     shards: Tuple[Shard, ...]
     total: int
-    shape: Optional[Tuple[int, int]] = None
 
     @property
     def n_shards(self) -> int:
@@ -69,8 +66,7 @@ class ShardPlan:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def split(cls, items: Sequence[Any], n_shards: int,
-              shape: Optional[Tuple[int, int]] = None) -> "ShardPlan":
+    def split(cls, items: Sequence[Any], n_shards: int) -> "ShardPlan":
         """Partition *items* into at most *n_shards* contiguous shards.
 
         Shard sizes differ by at most one item; order is preserved.
@@ -90,26 +86,7 @@ class ShardPlan:
             lo, hi = int(bounds[k]), int(bounds[k + 1])
             shards.append(Shard(index=k, start=lo,
                                 items=tuple(items[lo:hi])))
-        return cls(shards=tuple(shards), total=len(items), shape=shape)
-
-    @classmethod
-    def for_grid(cls, x_values: Sequence[float],
-                 y_values: Sequence[float],
-                 n_shards: int) -> "ShardPlan":
-        """Shard a 2-D sweep grid (row-major over y then x).
-
-        Each item is a ``(yi, xi, x, y)`` cell; :meth:`assemble_grid`
-        folds the flat results back into a ``(ny, nx)`` array.
-        """
-        x_values = list(x_values)
-        y_values = list(y_values)
-        if not x_values or not y_values:
-            raise ConfigurationError("both grid axes need values")
-        cells = [(yi, xi, x, y)
-                 for yi, y in enumerate(y_values)
-                 for xi, x in enumerate(x_values)]
-        return cls.split(cells, n_shards,
-                         shape=(len(y_values), len(x_values)))
+        return cls(shards=tuple(shards), total=len(items))
 
     @classmethod
     def for_range(cls, total: int, n_shards: int) -> "ShardPlan":
@@ -131,48 +108,3 @@ class ShardPlan:
         ranges = [(int(bounds[k]), int(bounds[k + 1] - bounds[k]))
                   for k in range(n_shards)]
         return cls.split(ranges, n_shards)
-
-    @classmethod
-    def for_touchdowns(cls, touchdowns: Sequence[Any],
-                       n_shards: int) -> "ShardPlan":
-        """Shard a wafer touchdown plan (one item per touchdown)."""
-        return cls.split(list(touchdowns), n_shards)
-
-    # -- reassembly --------------------------------------------------------
-
-    def reassemble(self, shard_results: Sequence[Optional[Sequence[Any]]]
-                   ) -> List[Any]:
-        """Flatten per-shard result lists back to canonical order.
-
-        *shard_results* is indexed by :attr:`Shard.index`; entry k
-        must hold one result per item of shard k (``None`` entries —
-        shards skipped by an abort — raise).
-        """
-        if len(shard_results) != len(self.shards):
-            raise ConfigurationError(
-                f"expected {len(self.shards)} shard results, got "
-                f"{len(shard_results)}"
-            )
-        flat: List[Any] = []
-        for shard, results in zip(self.shards, shard_results):
-            if results is None:
-                raise ConfigurationError(
-                    f"shard {shard.index} has no results (aborted?)"
-                )
-            if len(results) != len(shard.items):
-                raise ConfigurationError(
-                    f"shard {shard.index} returned {len(results)} "
-                    f"results for {len(shard.items)} items"
-                )
-            flat.extend(results)
-        return flat
-
-    def assemble_grid(self, shard_results:
-                      Sequence[Optional[Sequence[Any]]]) -> np.ndarray:
-        """Reassemble grid-cell results into a ``(ny, nx)`` array."""
-        if self.shape is None:
-            raise ConfigurationError(
-                "plan has no grid shape; build it with for_grid()"
-            )
-        flat = self.reassemble(shard_results)
-        return np.asarray(flat).reshape(self.shape)

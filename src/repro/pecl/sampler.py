@@ -63,7 +63,9 @@ class PECLSampler:
 
         The strobe for bit k lands at ``t_first_bit + k*UI + actual
         delay(code) - insertion delay`` — code 0 strobes the start of
-        each cell and larger codes walk the strobe across it.
+        each cell and larger codes walk the strobe across it. Only
+        *waveform*'s ``values_at`` is read, so a
+        :class:`~repro.pecl.buffer.ProcessedView` serves as well.
         """
         ui = unit_interval_ps(rate_gbps)
         offset = (self.delay_line.actual_delay(strobe_code)

@@ -185,6 +185,15 @@ class JobContext:
     cooperative checkpoint wired into the measurement stack's
     existing hooks.
 
+    Checkpoints and events are separate choices of the job type.
+    Every event is one hand-off through the loop, the wire and each
+    subscribed client, so a job polls :meth:`should_abort` as often
+    as its pause latency needs and publishes only as often as a
+    reader can use: the builtin shmoo publishes one partial per
+    cell, the BER job one per shard, and the eye job checkpoints
+    every chunk but publishes at most every
+    :data:`repro.service.runner.EYE_PUBLISH_INTERVAL_S`.
+
     Topics: ``job.<id>.state``, ``job.<id>.progress``,
     ``job.<id>.partial``.
     """

@@ -19,6 +19,7 @@ with the same parameters.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -28,6 +29,13 @@ from repro._rng import spawn_seeds
 from repro.errors import ConfigurationError
 from repro.parallel import Executor, ShardPlan
 from repro.service.jobs import Job, JobContext
+
+#: Shortest gap, in seconds, between two of an eye job's published
+#: partials (each with its progress tick). Its chunks come every
+#: fraction of a millisecond, far faster than a display redraws, and
+#: each event costs a hand-off through the loop, the wire and the
+#: client.
+EYE_PUBLISH_INTERVAL_S = 0.005
 
 
 class JobRunner:
@@ -186,9 +194,15 @@ class JobRunner:
         Params: ``n_bits`` (1200), ``rate_gbps`` (2.5), ``seed``
         (2), ``chunk_samples`` (2048), ``n_time_bins``/
         ``n_volt_bins`` (32). Folds the PRBS record chunk by chunk;
-        every chunk boundary is a checkpoint and publishes a
-        grid-free :meth:`EyeAccumulator.snapshot`. Returns the full
-        snapshot (grid included) — chunking never changes it.
+        every chunk boundary is a checkpoint, so a pause or abort
+        lands within one chunk. The grid-free
+        :meth:`EyeAccumulator.snapshot` partial and its progress tick
+        publish at most every :data:`EYE_PUBLISH_INTERVAL_S` (5 ms):
+        the first chunk's always, and the last folded chunk's always,
+        also when an abort cuts the record short (a paused job's
+        latest partial may trail its fold by under one interval).
+        Returns the full snapshot (grid included) — chunking and
+        publishing never change it.
         """
         from repro.eye import EyeAccumulator
         from repro.signal.nrz import bits_to_waveform
@@ -212,13 +226,26 @@ class JobRunner:
             n_time_bins=int(params.get("n_time_bins", 32)),
             n_volt_bins=int(params.get("n_volt_bins", 32)))
         n = len(wf)
+
+        def publish(done: int) -> None:
+            ctx.partial(acc.snapshot(include_grid=False))
+            ctx.progress(done, n)
+
+        done = published = 0
+        next_publish = time.monotonic()
         for i in range(0, n, chunk):
             if ctx.should_abort():
                 break
             acc.update(Waveform(wf.values[i:i + chunk].copy(),
                                 dt=wf.dt, t0=wf.t0 + i * wf.dt))
-            ctx.partial(acc.snapshot(include_grid=False))
-            ctx.progress(min(i + chunk, n), n)
+            done = min(i + chunk, n)
+            now = time.monotonic()
+            if now >= next_publish:
+                publish(done)
+                published = done
+                next_publish = now + EYE_PUBLISH_INTERVAL_S
+        if done > published:
+            publish(done)
         out = acc.snapshot(include_grid=True)
         out["complete"] = not ctx.job.abort_requested
         return out

@@ -53,7 +53,11 @@ signal, channel, and eye layers. Every kernel works on a
 ``eye_fold`` / ``density_bin``
     Threshold crossings over every row of a block, and per-row
     (time x voltage) histogram counts (``int64``, the
-    ``histogramdd`` bin convention).
+    ``histogramdd`` bin convention). The counts take one
+    ``searchsorted`` and one offset gather per axis and one
+    ``bincount``; a tiled fold's time axis is binned on one period.
+    A streaming accumulator calls them once per chunk, so their call
+    count, not their arithmetic, sets its cost beside a busy thread.
 
 ``prbs_bits_blockwise``
     Blockwise GF(2) PRBS generation. The Fibonacci LFSR output
@@ -581,16 +585,42 @@ def eye_fold(values: np.ndarray, thresholds: np.ndarray):
     return rows, cols, frac
 
 
+@functools.lru_cache(maxsize=64)
+def _bin_table(edges: bytes, stride: int,
+               trash: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(closed, offsets)`` of one :func:`density_bin` axis.
+
+    ``searchsorted(closed, x, side='right')`` numbers the bins from 1
+    as ``histogramdd`` does, the last bin closed: *closed* is the
+    edges (raw ``float64`` bytes) with the last one raised by one ulp,
+    so a sample on it counts in the last bin and any larger one
+    falls out. *offsets* maps a bin number to that bin's flat grid
+    offset, *stride* apart, and both out-of-range numbers (0 and
+    ``len(edges)``) to *trash*.
+    """
+    e = np.frombuffer(edges, dtype=np.float64)
+    closed = e.copy()
+    closed[-1] = np.nextafter(closed[-1], np.inf)
+    offsets = np.full(len(e) + 1, trash, dtype=np.intp)
+    offsets[1:-1] = np.arange(len(e) - 1) * stride
+    closed.flags.writeable = False
+    offsets.flags.writeable = False
+    return closed, offsets
+
+
 def density_bin(phases: np.ndarray, values: np.ndarray,
                 t_edges: np.ndarray, v_edges: np.ndarray) -> np.ndarray:
     """Per-row 2-D (time x voltage) histogram counts.
 
-    *phases* is the shared ``(samples,)`` time coordinate and
-    *values* the ``(channels, samples)`` voltages. Row *c* of the
+    *values* holds the ``(channels, samples)`` voltages and *phases*
+    their shared time coordinate: one per sample, or one period that
+    repeats along the row (sample ``j`` at ``phases[j % p]``, as a
+    tiled fold's phases do), which is binned once. Row *c* of the
     ``(channels, nt, nv)`` ``int64`` result holds exactly the counts
-    of ``np.histogram2d(phases, values[c], bins=(t_edges,
-    v_edges))``: ``side='right'`` bins with the rightmost edge folded
-    into the last bin, out-of-range samples dropped.
+    of ``np.histogram2d(phases, values[c], bins=(t_edges, v_edges))``
+    over the row's phases: ``side='right'`` bins with the rightmost
+    (finite) edge folded into the last bin, out-of-range samples
+    dropped.
     """
     values = np.asarray(values, dtype=np.float64)
     c, n = values.shape
@@ -598,19 +628,22 @@ def density_bin(phases: np.ndarray, values: np.ndarray,
     nv = len(v_edges) - 1
     if c == 0 or n == 0:
         return np.zeros((c, nt, nv), dtype=np.int64)
-    phases = np.asarray(phases, dtype=np.float64)
-    tb = np.searchsorted(t_edges, phases, side="right")
-    tb[phases == t_edges[-1]] -= 1
-    flat = values.reshape(-1)
-    vb = np.searchsorted(v_edges, flat, side="right")
-    vb[flat == v_edges[-1]] -= 1
     trash = c * nt * nv
-    t_idx = (tb - 1) * nv
-    row_base = np.arange(c, dtype=np.int64)[:, None] * (nt * nv)
-    idx = row_base + t_idx[None, :] + (vb - 1).reshape(c, n)
-    invalid = ((tb < 1) | (tb > nt))[None, :] \
-        | ((vb < 1) | (vb > nv)).reshape(c, n)
-    idx[invalid] = trash
+    t_closed, t_offsets = _bin_table(
+        np.asarray(t_edges, dtype=np.float64).tobytes(), nv, trash)
+    v_closed, v_offsets = _bin_table(
+        np.asarray(v_edges, dtype=np.float64).tobytes(), 1, trash)
+    # Flat grid index of every sample; one outside either axis lands
+    # at or past the trash bin, which the minimum then collects.
+    t_idx = t_offsets[np.searchsorted(
+        t_closed, np.asarray(phases, dtype=np.float64), side="right")]
+    if len(t_idx) < n:
+        t_idx = np.tile(t_idx, -(-n // len(t_idx)))[:n]
+    idx = v_offsets[np.searchsorted(v_closed, values, side="right")]
+    idx += t_idx
+    if c > 1:
+        idx += np.arange(0, trash, nt * nv)[:, None]
+    np.minimum(idx, trash, out=idx)
     counts = np.bincount(idx.ravel(), minlength=trash + 1)
     return counts[:trash].reshape(c, nt, nv)
 

@@ -55,7 +55,7 @@ from repro.eye.bathtub import (
 )
 from repro.channel.crosstalk import CouplingSpec, CrosstalkMatrix
 from repro.errors import ConfigurationError
-from repro.eye._binning import fold_phases
+from repro.eye._binning import fold_phases, period_phases
 from repro.signal import _kernels
 from repro.signal.edges import EdgeShape, edge_profile
 from repro.signal.jitter import JitterBudget
@@ -222,7 +222,8 @@ def _reference_eye_fold(values, thresholds):
 
 def _reference_density_bin(phases, voltages, t_edges, v_edges):
     """Per-row densities from one ``np.histogramdd`` call with the row
-    index as a third coordinate (exact counts, as int64)."""
+    index as a third coordinate (exact counts, as int64); a period of
+    phases repeats along the row."""
     voltages = np.asarray(voltages, dtype=np.float64)
     c, n = voltages.shape
     if c == 0 or n == 0:
@@ -230,7 +231,8 @@ def _reference_density_bin(phases, voltages, t_edges, v_edges):
                         dtype=np.int64)
     rows = np.repeat(np.arange(c, dtype=np.float64), n)
     hist, _ = np.histogramdd(
-        (rows, np.tile(np.asarray(phases, dtype=np.float64), c),
+        (rows, np.tile(np.resize(np.asarray(phases, dtype=np.float64),
+                                 n), c),
          voltages.reshape(-1)),
         bins=(np.arange(c + 1, dtype=np.float64), t_edges, v_edges),
     )
@@ -938,6 +940,31 @@ class TestBatchKernelEquivalence:
                                    v_edges))
         assert _kernels.density_bin(phases[:0], values[:, :0], t_edges,
                                     v_edges).shape == (4, 64, 48)
+
+    def test_density_bin_periodic_phases(self):
+        """One period of phases bins as the tiled fold's every phase:
+        on a tiling grid, on edges, and for a one-row block."""
+        rng = np.random.default_rng(10)
+        ui, n = 400.0, 2048
+        t_edges = np.linspace(0.0, ui, 33)
+        v_edges = np.linspace(-0.45, 0.45, 33)
+        values = rng.normal(0.0, 0.3, (3, n))
+        values[0, :100] = v_edges[rng.integers(0, 33, 100)]
+        for offset in (0.0, -37.0, 1234.5):
+            period = period_phases(offset, 1.0, n, ui)
+            assert len(period) == 400
+            tiled = fold_phases(offset, 1.0, n, ui)
+            for block in (values, values[1:2]):
+                assert np.array_equal(
+                    _kernels.density_bin(period, block, t_edges,
+                                         v_edges),
+                    _kernels.density_bin(tiled, block, t_edges,
+                                         v_edges))
+        on_edges = t_edges[:-1].copy()  # 32 phases, every one an edge
+        assert np.array_equal(
+            _kernels.density_bin(on_edges, values, t_edges, v_edges),
+            _reference_density_bin(np.resize(on_edges, n), values,
+                                   t_edges, v_edges))
 
     @pytest.mark.parametrize("order", sorted(PRBS_POLYNOMIALS))
     def test_prbs_batch(self, order):

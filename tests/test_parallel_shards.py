@@ -1,6 +1,5 @@
-"""Tests for shard planning and canonical reassembly."""
+"""Tests for shard planning."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,34 +51,6 @@ class TestSplit:
         assert max(sizes) - min(sizes) <= 1
 
 
-class TestGrid:
-    def test_cells_row_major(self):
-        plan = ShardPlan.for_grid([1.0, 2.0], [10.0, 20.0, 30.0], 2)
-        assert plan.shape == (3, 2)
-        flat = [c for s in plan.shards for c in s.items]
-        assert flat[0] == (0, 0, 1.0, 10.0)
-        assert flat[1] == (0, 1, 2.0, 10.0)
-        assert flat[-1] == (2, 1, 2.0, 30.0)
-
-    def test_assemble_grid_round_trip(self):
-        xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0]
-        plan = ShardPlan.for_grid(xs, ys, 4)
-        results = [[xi + 10 * yi for (yi, xi, _, _) in s.items]
-                   for s in plan.shards]
-        grid = plan.assemble_grid(results)
-        expected = np.array([[0, 1, 2], [10, 11, 12]])
-        assert np.array_equal(grid, expected)
-
-    def test_assemble_without_shape_rejected(self):
-        plan = ShardPlan.split([1, 2], 1)
-        with pytest.raises(ConfigurationError):
-            plan.assemble_grid([[1, 2]])
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardPlan.for_grid([], [1.0], 2)
-
-
 class TestRange:
     def test_counts_tile_budget(self):
         plan = ShardPlan.for_range(1000, 3)
@@ -98,27 +69,6 @@ class TestRange:
             ShardPlan.for_range(0, 2)
 
 
-class TestReassemble:
-    def test_wrong_shard_count_rejected(self):
-        plan = ShardPlan.split([1, 2, 3], 2)
-        with pytest.raises(ConfigurationError):
-            plan.reassemble([[1]])
-
-    def test_missing_shard_rejected(self):
-        plan = ShardPlan.split([1, 2, 3], 2)
-        with pytest.raises(ConfigurationError):
-            plan.reassemble([[1, 2], None])
-
-    def test_length_mismatch_rejected(self):
-        plan = ShardPlan.split([1, 2, 3], 2)
-        with pytest.raises(ConfigurationError):
-            plan.reassemble([[1], [3]])
-
-    def test_touchdown_plan_sharding(self):
-        touchdowns = [f"td{i}" for i in range(7)]
-        plan = ShardPlan.for_touchdowns(touchdowns, 3)
-        assert plan.reassemble(
-            [list(s.items) for s in plan.shards]) == touchdowns
-
+class TestShard:
     def test_shard_len(self):
         assert len(Shard(index=0, start=0, items=(1, 2, 3))) == 3

@@ -17,8 +17,9 @@ import pytest
 
 from repro.service import serve_in_thread
 
-# Small but non-trivial workloads: the shmoo is long enough
-# (~0.3 s) that a preempting job reliably lands mid-sweep.
+# Small but non-trivial workloads: the shmoo is long enough (24
+# cells, ~0.2 s) that a job submitted after its first cell lands
+# mid-sweep.
 SHMOO_PARAMS = {"rates": [2.0, 2.6, 3.2, 3.8, 4.4, 5.0],
                 "strobe_fracs": [0.08, 0.3, 0.5, 0.7],
                 "n_bits": 150, "seed": 3}
@@ -40,6 +41,19 @@ def wait_terminal(cli, job_id, timeout_s=60.0):
             return status
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} never finished")
+
+
+def wait_for_event(cli, name, timeout_s=60.0):
+    """Read *cli*'s events up to the first named *name*; returns
+    every event read, that one last."""
+    deadline = time.monotonic() + timeout_s
+    seen = []
+    while not seen or seen[-1]["event"] != name:
+        assert time.monotonic() < deadline, f"no {name} event"
+        event = cli.next_event(timeout_s=1.0)
+        if event is not None:
+            seen.append(event)
+    return seen
 
 
 def direct_shmoo():
@@ -103,8 +117,11 @@ class TestMultiTenantFloor:
                 shmoo = cli_a.submit(kind="shmoo",
                                      params=SHMOO_PARAMS,
                                      priority=0)
-                # Give it time to actually start sweeping.
-                time.sleep(0.15)
+                # Preempt only once it is sweeping: its first cell's
+                # partial is out. The events read while waiting join
+                # the later checks.
+                early = wait_for_event(
+                    watcher, f"job.{shmoo['job_id']}.partial")
                 # B: high-priority BER preempts; C: mid-priority eye
                 # queues behind it but ahead of the shmoo's resume.
                 ber = cli_b.submit(kind="ber", params=BER_PARAMS,
@@ -121,7 +138,7 @@ class TestMultiTenantFloor:
 
                 # -- preemption was real: the shmoo paused and the
                 # whole lifecycle streamed to the subscriber.
-                events = watcher.drain_events()
+                events = early + watcher.drain_events()
                 shmoo_states = [
                     e["data"]["state"] for e in events
                     if e["event"] ==

@@ -1,0 +1,125 @@
+"""The builtin job kinds' event streams, driven without a server.
+
+A :class:`JobContext` on a stub loop and hub records every event a
+job publishes and every checkpoint it polls, so these tests pin how
+often each builtin publishes: the eye job checkpoints every chunk
+but publishes at display rate, and the shmoo job publishes one
+partial per cell.
+"""
+
+import numpy as np
+import pytest
+
+import repro.service.runner as runner_mod
+from repro.service import Job, JobContext, JobRunner
+
+
+class _InlineLoop:
+    """Runs each threadsafe callback at once, on the caller."""
+
+    def call_soon_threadsafe(self, fn, *args):
+        fn(*args)
+
+
+class _Hub:
+    def __init__(self):
+        self.events = []
+
+    def publish(self, topic, data):
+        self.events.append((topic, data))
+
+
+class RecordingContext(JobContext):
+    """Counts checkpoints; requests an abort after *abort_after*."""
+
+    def __init__(self, kind, params, abort_after=None):
+        self.hub = _Hub()
+        super().__init__(Job(1, kind, params), _InlineLoop(), self.hub)
+        self.checks = 0
+        self.abort_after = abort_after
+
+    def should_abort(self):
+        self.checks += 1
+        if self.abort_after is not None and self.checks > self.abort_after:
+            self.job.request_abort()
+        return super().should_abort()
+
+    def published(self, channel):
+        return [d for t, d in self.hub.events
+                if t == f"job.1.{channel}"]
+
+
+def _run(kind, params, abort_after=None):
+    ctx = RecordingContext(kind, params, abort_after)
+    return ctx, JobRunner().run(ctx.job, ctx)
+
+
+#: The eye job's record at its defaults: 1200 bits at 2.5 Gbps.
+EYE_SAMPLES = 480_801
+EYE_CHUNKS = -(-EYE_SAMPLES // 2048)
+
+
+class TestEyeJobEvents:
+    def test_checkpoint_per_chunk_publish_far_fewer(self):
+        ctx, out = _run("eye", {})
+        partials = ctx.published("partial")
+        ticks = ctx.published("progress")
+        assert out["complete"] and out["n_samples"] == EYE_SAMPLES
+        assert ctx.checks == EYE_CHUNKS
+        assert 2 <= len(partials) < EYE_CHUNKS // 2
+        assert len(ticks) == len(partials)
+        samples = [p["n_samples"] for p in partials]
+        assert samples == sorted(samples)
+        assert len(set(samples)) == len(samples)
+        assert samples[0] == 2048
+        assert samples[-1] == EYE_SAMPLES
+        assert ticks[-1] == {"done": EYE_SAMPLES, "total": EYE_SAMPLES}
+        assert all("grid" not in p for p in partials)
+
+    def test_first_and_last_always_published(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 3600.0)
+        ctx, out = _run("eye", {})
+        assert ctx.checks == EYE_CHUNKS
+        assert [p["n_samples"] for p in ctx.published("partial")] \
+            == [2048, EYE_SAMPLES]
+        assert [t["done"] for t in ctx.published("progress")] \
+            == [2048, EYE_SAMPLES]
+        assert out["complete"]
+
+    def test_abort_mid_record(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 3600.0)
+        ctx, out = _run("eye", {}, abort_after=40)
+        assert out["complete"] is False
+        assert ctx.checks == 41  # the 41st checkpoint sees the abort
+        assert out["n_samples"] == 40 * 2048
+        # The last folded chunk is published, so a watcher's latest
+        # partial matches what the job returns.
+        assert [p["n_samples"] for p in ctx.published("partial")] \
+            == [2048, 40 * 2048]
+
+    def test_result_independent_of_publishing(self, monkeypatch):
+        _, throttled = _run("eye", {"n_bits": 300})
+        monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 0.0)
+        ctx, every = _run("eye", {"n_bits": 300})
+        assert len(ctx.published("partial")) == ctx.checks
+        assert throttled == every
+
+
+class TestShmooJobEvents:
+    def test_one_partial_per_cell(self):
+        params = {"rates": [2.0, 3.5, 5.0], "strobe_fracs": [0.1, 0.5],
+                  "n_bits": 64, "seed": 2}
+        ctx, out = _run("shmoo", params)
+        cells = [p["cells_done"] for p in ctx.published("partial")]
+        assert cells == list(range(1, 7))
+        assert ctx.checks >= 6
+        assert out["complete"]
+        assert int(np.sum(out["evaluated"])) == 6
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_ber_job_one_partial_per_shard(n_shards):
+    ctx, out = _run("ber", {"total_bits": 300, "n_shards": n_shards})
+    bits = [p["bits"] for p in ctx.published("partial")]
+    assert len(bits) == n_shards
+    assert bits[-1] == out["total_bits"] == 300

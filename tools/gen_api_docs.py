@@ -131,6 +131,33 @@ equivalence contract against its scalar reference, enforced by
   Diagrams with explicit phases (built by the constructor, merged
   folds, cache entries pickled before the grid stamp) take the
   full-record mask.
+- **Density binning** (`_kernels.density_bin`, under
+  `EyeAccumulator.update`): each sample's grid cell takes one
+  `searchsorted` per axis, against the edges with the last one
+  raised an ulp (which closes the last bin as `histogramdd` does),
+  and one gather through a cached offset table that sends both
+  out-of-range sides to a trash cell; one `bincount` counts them.
+  When the fold tiles, the accumulator passes one period of phases
+  (`_binning.period_phases`), so the time axis is binned once per
+  period and tiled. Counts are identical to `histogramdd`. The
+  point is the call count: a streaming update of a 2048-sample chunk
+  is dozens of short numpy calls, and beside a busy thread each one
+  can cost an interpreter-lock hand-off.
+- **Strobed receive** (`repro.pecl.buffer.ProcessedView`):
+  `PECLReceiver.receive_bits` hands its sampler a view of the input
+  buffer's output instead of the whole regenerated record. The
+  view's `values_at` limits and Gaussian-filters only the two
+  samples that `np.interp` reads around each strobe, about 1% of a
+  5 Gbps record, so a loopback costs what its strobes cost. It sums
+  each output sample as `correlate1d` does for a symmetric filter:
+  the centre term first, then the tap pairs from the outermost
+  inward, one axis-0 `np.add.reduce` per block of about 64 K terms
+  (a one-column block, which numpy would sum pairwise, is widened
+  to two). The taps are `gaussian_filter1d`'s own, read back as its
+  impulse response. The result is bitwise equal to
+  `OutputBuffer.process(wf).values_at(t)`; `process` and
+  `PECLReceiver.regenerate` stay the dense path for readers of the
+  whole record (`MiniTester.digitize_loopback`).
 - **PRBS generation** (`_kernels.prbs_bits_blockwise`): blockwise
   GF(2) matrix products (8192 bits per application), *bit-exact*
   against the scalar Fibonacci LFSR (kept public as
@@ -388,11 +415,13 @@ parent registry so an N-worker run reads identically to serial.
 `Executor` picks the backend (`serial`, `thread`, `process`, or
 `remote`, below), chunks the work queue, retries failed or crashed
 shards up to `max_retries`, and enforces per-chunk timeouts.
-`ShardPlan` partitions grids (`for_grid`), bit budgets
-(`for_range`), and touchdown site lists (`for_touchdowns`), then
-reassembles results in canonical order. `ShmooRunner.run` splits its
-grid into shards of whole x columns instead, so cells sharing cached
-stimulus (one rate's rendered pattern) stay in one shard:
+`ShardPlan.split` cuts an ordered list of work items into
+contiguous, near-equal shards, and `ShardPlan.for_range` cuts a bit
+budget into `(start, count)` ranges; the shards' items, concatenated,
+are the canonical order. `ShmooRunner.run` lists its grid's cells x
+then y before splitting, so each shard is a run of whole x columns
+and cells sharing cached stimulus (one rate's rendered pattern) stay
+in one shard:
 
 ```python
 from repro.host.shmoo import ShmooRunner
@@ -599,8 +628,17 @@ partials.
 (cells via `repro.host.shmoo.strobe_rate_test`, one partial per
 cell), `ber` (the exact `ShardPlan.for_range` + `spawn_seeds`
 recipe of `TestSession.characterize_ber`, cumulative tallies per
-shard), `eye` (chunked `EyeAccumulator` fold publishing
-`snapshot()` views), and `wafer` (multi-site sort summary).
+shard), `eye` (chunked `EyeAccumulator` fold), and `wafer`
+(multi-site sort summary). A job's checkpoints and its events are
+separate choices: every event is a hand-off through the event loop,
+the wire and each subscribed client, so the `eye` job keeps a
+checkpoint per 2048-sample chunk (pause and abort land within one
+chunk) but publishes its grid-free `snapshot()` partial and progress
+tick at most every 5 ms (`repro.service.runner.EYE_PUBLISH_INTERVAL_S`),
+always the first and the last folded chunk's. A default eye job
+publishes about 12 partials for its 235 chunks when it runs alone,
+and more beside a busy shmoo, which slows it; its result is the
+same whatever the publishing.
 
 **Streaming.** Topics `job.<id>.state` / `.progress` / `.partial`
 with trailing-`*` wildcards. Per-subscriber queues are bounded and
