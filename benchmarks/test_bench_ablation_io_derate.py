@@ -19,14 +19,16 @@ def test_ablation_io_derating(benchmark):
     serializer = ParallelToSerial()
 
     def max_serial_rate(lane_limit):
-        rate = 0.1
-        while rate < 10.0:
+        # Steps in integer tenths of a Gbps: a float accumulator
+        # lands just above each limit and stops one step early.
+        tenths = 1
+        while tenths < 100:
             try:
-                serializer.check_rates(rate + 0.1, lane_limit)
+                serializer.check_rates((tenths + 1) / 10, lane_limit)
             except ReproError:
                 break
-            rate += 0.1
-        return rate
+            tenths += 1
+        return tenths / 10
 
     rates = {}
 
@@ -48,10 +50,10 @@ def test_ablation_io_derating(benchmark):
              "silicon rating, no margin (serializer-limited)"),
         ],
     )
-    assert rates[300.0] == pytest.approx(2.4, abs=0.15)
-    assert rates[400.0] == pytest.approx(3.2, abs=0.15)
+    assert rates[300.0] == 2.4
+    assert rates[400.0] == 3.2
     # At the full silicon rate, the PECL part becomes the limit.
-    assert rates[800.0] == pytest.approx(4.0, abs=0.15)
+    assert rates[800.0] == 4.0
 
 
 def test_ablation_silicon_ceiling_is_hard(benchmark):

@@ -25,6 +25,8 @@ N_WORKERS = 4
 DWELL_S = 0.004
 #: Bits compared per point.
 N_BITS = 400
+#: Cells per executor chunk: 16 chunks of two whole rate columns.
+CHUNK = GRID_N * GRID_N // (N_WORKERS * 4)
 
 
 def ber_point(rate_gbps, strobe_ui):
@@ -57,15 +59,15 @@ def _sweep(executor):
     strobes = list(np.linspace(0.05, 0.95, GRID_N))
     with telemetry.use_registry() as reg:
         t0 = time.perf_counter()
-        result = runner.run(rates, strobes, executor=executor,
-                            n_shards=N_WORKERS * 4)
+        result = runner.run(rates, strobes, executor=executor)
         elapsed = time.perf_counter() - t0
     return result, elapsed, reg.to_dict()["counters"]
 
 
 def test_process_pool_speedup_and_bit_exactness():
     serial_result, serial_s, serial_counters = _sweep(None)
-    pool = Executor(backend="process", max_workers=N_WORKERS)
+    pool = Executor(backend="process", max_workers=N_WORKERS,
+                    chunk_size=CHUNK)
     pool_result, pool_s, pool_counters = _sweep(pool)
     speedup = serial_s / pool_s
 
@@ -109,7 +111,8 @@ def test_process_pool_speedup_and_bit_exactness():
 def test_thread_backend_also_overlaps_dwell():
     """The dwell-bound workload parallelizes on threads too."""
     _, serial_s, _ = _sweep(None)
-    threads = Executor(backend="thread", max_workers=N_WORKERS)
+    threads = Executor(backend="thread", max_workers=N_WORKERS,
+                       chunk_size=CHUNK)
     result, thread_s, _ = _sweep(threads)
     report(
         "Parallel shmoo — thread backend",

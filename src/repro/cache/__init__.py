@@ -27,17 +27,19 @@ cache. :func:`use_cache` opens a scope that is local to the current
 :mod:`contextvars` context, so two sweeps on two threads each see
 their own cache. A scope covers the calling thread, the asyncio
 tasks and ``asyncio.to_thread`` work it starts, the chunks a
-``thread`` :class:`~repro.parallel.Executor` runs for it, and the
-event loop of a service started in it with
+``serial`` or ``thread`` :class:`~repro.parallel.Executor` runs for
+it, and the event loop of a service started in it with
 :func:`~repro.service.serve_in_thread`. It does not cover a thread
 the caller starts itself: that thread sees the default (run its
 target under ``contextvars.copy_context().run`` to carry the scope
 over). A remote :class:`~repro.parallel.WorkerPool` serves its
 workers the cache that was active where its latest run was called.
 
-Sharing across ``repro.parallel`` process shards: give the cache a
-``disk_path`` — workers receive an empty clone pointing at the same
-directory and read each other's atomically-published entries.
+A ``process`` executor runs each chunk in an empty clone of the
+caller's active cache, whatever the pool's start method, and ships
+none when caching is off. Give the cache a ``disk_path`` and the
+clones point at the same directory and read each other's
+atomically-published entries.
 
 Concurrent thread shards share one cache without duplicating work:
 :meth:`ArtifactCache.get_or_compute` is single-flight, so the first
@@ -147,7 +149,9 @@ def use_cache(cache: Optional[ArtifactCache] = None):
 
     The scope is local to the current :mod:`contextvars` context (see
     the module docstring for what it covers) and is reset on exit;
-    yields the cache. The one way to hand a cache to stage calls;
+    yields the cache. The one way to hand a cache to stage calls,
+    also for executor runs: ``process`` chunks each get an empty
+    clone of it and ``remote`` workers read through it.
     ``ShmooRunner(cache=)`` opens it around each sweep.
     """
     c = cache if cache is not None else ArtifactCache()

@@ -7,6 +7,7 @@ Figure 2: the common controlling logic of both test systems.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 import numpy as np
@@ -36,6 +37,27 @@ def default_test_design(name: str = "tsp_pattern_core") -> Bitstream:
                           block_ram_kbits=128)
     payload = (name.encode("utf-8") * 64)[:1024]
     return Bitstream(name, usage, payload)
+
+
+class _WeakHook:
+    """A register callback that holds its core's method weakly.
+
+    The register file then keeps no reference cycle back to the
+    core, so a dropped core is freed by reference counting rather
+    than the cycle collector. It pickles as the method itself, so a
+    pickled core comes back with its hook.
+    """
+
+    def __init__(self, method):
+        self._method = weakref.WeakMethod(method)
+
+    def __call__(self, value: int) -> None:
+        method = self._method()
+        if method is not None:
+            method(value)
+
+    def __reduce__(self):
+        return (_WeakHook, (self._method(),))
 
 
 class DigitalLogicCore:
@@ -75,7 +97,7 @@ class DigitalLogicCore:
         regs.define("VERSION", 0x02, width=16, reset_value=0x0100,
                     read_only=True)
         regs.define("CONTROL", 0x04, width=16,
-                    on_write=self._on_control_write)
+                    on_write=_WeakHook(self._on_control_write))
         regs.define("STATUS", 0x06, width=16, read_only=True)
         regs.define("PATTERN_LEN", 0x08, width=32)
         regs.define("LFSR_SEED", 0x0C, width=32, reset_value=1)

@@ -11,44 +11,24 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import cache as artifact_cache
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.parallel import CallbackGuard, Executor, ShardPlan
-
-
-def _evaluate_shard(test: Callable[[float, float], bool],
-                    shard, seed, cache=None) -> List[bool]:
-    """One shard's cells through the pass/fail callable.
-
-    Module-level (not a method) so the process backend can pickle
-    it via :func:`functools.partial`. A *cache* rides along the same
-    way: process workers receive the pickled clone (pointing at the
-    shared ``disk_path`` when one is set) and activate it for the
-    shard's cells.
-    """
-    if cache is not None:
-        from repro import cache as artifact_cache
-
-        with artifact_cache.use_cache(cache):
-            return [bool(test(x, y))
-                    for (_yi, _xi, x, y) in shard.items]
-    return [bool(test(x, y)) for (_yi, _xi, x, y) in shard.items]
+from repro.parallel import CallbackGuard, Executor
 
 
 def _evaluate_cell(test: Callable[[float, float], bool],
-                   item: Tuple[int, int, float, float],
-                   seed, cache=None) -> bool:
-    """One adaptive-refinement cell; module-level for pickling."""
-    _yi, _xi, x, y = item
-    if cache is not None:
-        from repro import cache as artifact_cache
+                   item: Tuple[float, float], seed) -> bool:
+    """One ``(x, y)`` cell through the pass/fail callable.
 
-        with artifact_cache.use_cache(cache):
-            return bool(test(x, y))
+    Module-level (not a method) so the process backend can pickle it
+    via :func:`functools.partial`.
+    """
+    x, y = item
     return bool(test(x, y))
 
 
@@ -163,6 +143,99 @@ class ShmooResult:
         return "\n".join(lines)
 
 
+class _Sweep:
+    """One sweep's state: axes, grids, guarded hooks and executor.
+
+    :meth:`evaluate` is the one body that runs cells, whichever entry
+    point lists them; :meth:`result` is the one step that records the
+    ``shmoo.*`` counters and builds the :class:`ShmooResult`.
+    """
+
+    def __init__(self, runner: "ShmooRunner", x_values, y_values,
+                 progress, should_abort, executor):
+        self.x_values = list(x_values)
+        self.y_values = list(y_values)
+        if not self.x_values or not self.y_values:
+            raise ConfigurationError("both axes need values")
+        guard = CallbackGuard(progress, should_abort)
+        if guard.active:
+            # A raising hook aborts the sweep cleanly (partial grid,
+            # complete=False) instead of propagating mid-sweep.
+            progress = guard.progress if progress is not None else None
+            should_abort = guard.should_abort
+        self.progress = progress
+        self.should_abort = should_abort
+        self.executor = executor
+        self.runner = runner
+        shape = (len(self.y_values), len(self.x_values))
+        self.passes = np.zeros(shape, dtype=bool)
+        self.evaluated = np.zeros(shape, dtype=bool)
+
+    def evaluate(self, cells: Sequence[Tuple[int, int]]) -> bool:
+        """Test ``(yi, xi)`` cells into the grids; True when aborted.
+
+        Inline without an executor (a checkpoint and a progress tick
+        per cell), else one :meth:`Executor.run` over per-cell items
+        (a tick per finished chunk). Progress counts every cell the
+        sweep has evaluated, against the whole grid.
+        """
+        passes, evaluated = self.passes, self.evaluated
+        progress, should_abort = self.progress, self.should_abort
+        done, total = int(evaluated.sum()), passes.size
+        if self.executor is None:
+            test, xs, ys = self.runner.test, self.x_values, self.y_values
+            for yi, xi in cells:
+                if should_abort is not None and should_abort():
+                    return True
+                passes[yi, xi] = bool(test(xs[xi], ys[yi]))
+                evaluated[yi, xi] = True
+                done += 1
+                if progress is not None:
+                    progress(done, total)
+            return False
+
+        def on_chunk(n_done, _n_items, _indices) -> None:
+            progress(done + n_done, total)
+
+        outcome = self.executor.run(
+            functools.partial(_evaluate_cell, self.runner.test),
+            [(self.x_values[xi], self.y_values[yi]) for yi, xi in cells],
+            progress=on_chunk if progress is not None else None,
+            should_abort=should_abort,
+        )
+        for (yi, xi), ok in zip(cells, outcome.results):
+            if ok is not None:
+                passes[yi, xi] = ok
+                evaluated[yi, xi] = True
+        return outcome.aborted
+
+    def result(self, aborted: bool,
+               filled: Optional[int] = None) -> ShmooResult:
+        """Count the sweep into telemetry and return its result.
+
+        *filled* counts the cells an adaptive sweep inferred without
+        evaluating (``shmoo.cells_filled``).
+        """
+        tel = telemetry.active()
+        n_eval = int(self.evaluated.sum())
+        n_pass = int(self.passes[self.evaluated].sum())
+        tel.counter("shmoo.runs").inc()
+        tel.counter("shmoo.cells").inc(n_eval)
+        tel.counter("shmoo.cells_passed").inc(n_pass)
+        tel.counter("shmoo.cells_failed").inc(n_eval - n_pass)
+        if filled is not None:
+            tel.counter("shmoo.cells_filled").inc(filled)
+        return ShmooResult(
+            x_values=tuple(self.x_values),
+            y_values=tuple(self.y_values),
+            passes=self.passes,
+            x_name=self.runner.x_name,
+            y_name=self.runner.y_name,
+            evaluated=self.evaluated,
+            complete=not aborted,
+        )
+
+
 class ShmooRunner:
     """Runs a pass/fail callable over a 2-D grid.
 
@@ -173,14 +246,16 @@ class ShmooRunner:
     x_name, y_name:
         Axis labels for rendering.
     cache:
-        Optional :class:`repro.cache.ArtifactCache` active for the
-        duration of each sweep, so cells sharing stimulus stages
-        (same PRBS stream, same rendered pattern at a given rate)
-        reuse them. Serial and thread backends share the object;
-        process shards receive its pickled clone. A shard holds whole
-        x columns, so each process shard computes its columns'
-        artifacts once; give the cache a ``disk_path`` so shards
-        also share entries across columns (a shared PRBS stream).
+        Optional :class:`repro.cache.ArtifactCache` that each sweep
+        opens as its :func:`~repro.cache.use_cache` scope, so cells
+        sharing stimulus stages (same PRBS stream, same rendered
+        pattern at a given rate) reuse them. Passing it is the same
+        as calling the sweep inside that scope, and it reaches an
+        executor's chunks as any scope does: serial and thread
+        chunks share the object, each ``process`` chunk gets an
+        empty clone (give the cache a ``disk_path`` to share entries
+        across chunks), and ``remote`` workers read through the
+        pool's tier.
     """
 
     def __init__(self, test: Callable[[float, float], bool],
@@ -191,136 +266,57 @@ class ShmooRunner:
         self.y_name = y_name
         self.cache = cache
 
-    def _cache_scope(self):
-        """Context activating this runner's cache (no-op when unset)."""
-        if self.cache is None:
-            return contextlib.nullcontext()
-        from repro import cache as artifact_cache
-
-        return artifact_cache.use_cache(self.cache)
+    @contextlib.contextmanager
+    def _sweep(self, span: str, x_values, y_values, progress,
+               should_abort, executor):
+        """A new sweep, inside this runner's cache scope (when set)
+        and the telemetry *span*."""
+        sweep = _Sweep(self, x_values, y_values, progress,
+                       should_abort, executor)
+        scope = contextlib.nullcontext() if self.cache is None \
+            else artifact_cache.use_cache(self.cache)
+        with scope, telemetry.active().span(span):
+            yield sweep
 
     def run(self, x_values: Sequence[float],
             y_values: Sequence[float], *,
             progress: Optional[Callable[[int, int], None]] = None,
             should_abort: Optional[Callable[[], bool]] = None,
-            executor: Optional[Executor] = None,
-            n_shards: Optional[int] = None) -> ShmooResult:
-        """Evaluate the grid, serially or sharded over an executor.
+            executor: Optional[Executor] = None) -> ShmooResult:
+        """Evaluate every cell of the grid, inline or on an executor.
+
+        Cells run x-major, inline and on every executor backend:
+        the whole first x column, y ascending, then the next column.
 
         Parameters
         ----------
         progress:
             ``progress(cells_done, cells_total)`` fired as cells
-            complete (per cell serially; per finished shard when an
+            complete (per cell inline; per finished chunk when an
             executor runs the sweep).
         should_abort:
-            Polled between cells (serial) or shards (parallel);
+            Polled between cells (inline) or chunks (executor);
             returning True stops the sweep early — unevaluated
             cells are marked in :attr:`ShmooResult.evaluated`.
         executor:
-            A :class:`repro.parallel.Executor`; when given, the grid
-            is split by :meth:`~repro.parallel.ShardPlan.split` into
-            shards of whole x columns, which run on its backend.
-            Put on x the axis whose cells share cached stimulus
-            (the rate, in a rate sweep): concurrent shards then ask
-            the cache for different keys. The process backend
-            needs a picklable ``test`` callable. Serial behavior,
-            grids, and telemetry totals are identical across
-            backends.
-        n_shards:
-            Shards for the parallel path (default: 4 per worker).
-            When it does not divide ``len(x_values)``, a column can
-            straddle two shards, which then both need its artifacts.
+            A :class:`repro.parallel.Executor`; when given, the
+            cells run on its backend as one run of per-cell items,
+            chunked by its ``chunk_size`` (default: about 4 chunks
+            per worker). A chunk size that is a multiple of
+            ``len(y_values)`` makes every chunk a run of whole x
+            columns; put on x the axis whose cells share cached
+            stimulus (the rate, in a rate sweep), so concurrent
+            chunks ask the cache for different keys. The process
+            backend needs a picklable ``test`` callable. Grids and
+            telemetry totals are identical across backends and with
+            ``executor=None``.
         """
-        x_values = list(x_values)
-        y_values = list(y_values)
-        if not x_values or not y_values:
-            raise ConfigurationError("both axes need values")
-        tel = telemetry.active()
-        guard = CallbackGuard(progress, should_abort)
-        if guard.active:
-            # A raising hook aborts the sweep cleanly (partial grid,
-            # complete=False) instead of propagating mid-sweep.
-            progress = guard.progress if progress is not None else None
-            should_abort = guard.should_abort
-        shape = (len(y_values), len(x_values))
-        passes = np.zeros(shape, dtype=bool)
-        evaluated = np.zeros(shape, dtype=bool)
-        with self._cache_scope(), tel.span("shmoo.run"):
-            if executor is None:
-                aborted = self._run_serial(
-                    x_values, y_values, passes, evaluated,
-                    progress, should_abort,
-                )
-            else:
-                aborted = self._run_sharded(
-                    x_values, y_values, passes, evaluated,
-                    progress, should_abort, executor, n_shards,
-                )
-        n_eval = int(evaluated.sum())
-        n_pass = int(passes[evaluated].sum())
-        tel.counter("shmoo.runs").inc()
-        tel.counter("shmoo.cells").inc(n_eval)
-        tel.counter("shmoo.cells_passed").inc(n_pass)
-        tel.counter("shmoo.cells_failed").inc(n_eval - n_pass)
-        return ShmooResult(
-            x_values=tuple(x_values),
-            y_values=tuple(y_values),
-            passes=passes,
-            x_name=self.x_name,
-            y_name=self.y_name,
-            evaluated=evaluated,
-            complete=not aborted,
-        )
-
-    def _run_serial(self, x_values, y_values, passes, evaluated,
-                    progress, should_abort) -> bool:
-        total = passes.size
-        done = 0
-        for yi, y in enumerate(y_values):
-            for xi, x in enumerate(x_values):
-                if should_abort is not None and should_abort():
-                    return True
-                passes[yi, xi] = bool(self.test(x, y))
-                evaluated[yi, xi] = True
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-        return False
-
-    def _run_sharded(self, x_values, y_values, passes, evaluated,
-                     progress, should_abort, executor,
-                     n_shards) -> bool:
-        if n_shards is None:
-            n_shards = executor.max_workers * 4
-        # Whole x columns per shard: cells sharing an x share cached
-        # stimulus, so concurrent shards ask the cache for different
-        # keys. A column that straddles two shards (n_shards does not
-        # divide len(x_values)) costs one wait or duplicate compute.
-        plan = ShardPlan.split([(yi, xi, x, y)
-                                for xi, x in enumerate(x_values)
-                                for yi, y in enumerate(y_values)],
-                               n_shards)
-        fn = functools.partial(_evaluate_shard, self.test,
-                               cache=self.cache)
-
-        def on_chunk(done, total, indices) -> None:
-            if progress is not None:
-                cells = sum(len(plan.shards[i]) for i in indices)
-                on_chunk.cells_done += cells
-                progress(on_chunk.cells_done, plan.total)
-        on_chunk.cells_done = 0
-
-        outcome = executor.run(fn, plan.shards,
-                               progress=on_chunk,
-                               should_abort=should_abort)
-        for shard, results in zip(plan.shards, outcome.results):
-            if results is None:
-                continue
-            for (yi, xi, _x, _y), ok in zip(shard.items, results):
-                passes[yi, xi] = ok
-                evaluated[yi, xi] = True
-        return outcome.aborted
+        with self._sweep("shmoo.run", x_values, y_values, progress,
+                         should_abort, executor) as sweep:
+            aborted = sweep.evaluate(
+                [(yi, xi) for xi in range(len(sweep.x_values))
+                 for yi in range(len(sweep.y_values))])
+        return sweep.result(aborted)
 
     # -- adaptive boundary refinement ---------------------------------------
 
@@ -339,8 +335,8 @@ class ShmooRunner:
         disagree straddle the boundary and are subdivided at their
         midpoints, recursively, down to single cells. Refinement
         proceeds in waves — every wave's new lattice points are
-        evaluated as one batch, serially or through *executor* — so
-        the parallel backends stay saturated.
+        evaluated as one batch, inline or as one run on *executor*
+        — so the parallel backends stay saturated.
 
         The returned :attr:`ShmooResult.passes` equals the
         exhaustive sweep's exactly whenever every agreeing coarse
@@ -358,10 +354,12 @@ class ShmooRunner:
         coarse_step:
             Initial lattice stride; a power of two >= 2.
         progress:
-            ``progress(cells_evaluated, cells_total)`` fired after
-            every refinement wave (total is the full grid size).
+            ``progress(cells_evaluated, cells_total)`` fired per
+            evaluated cell inline, or per finished chunk on an
+            executor; the total is the full grid size, which an
+            adaptive sweep's count stops short of.
         should_abort:
-            Polled between cells (serial) or batch items (executor);
+            Polled between cells (inline) or chunks (executor);
             aborting returns ``complete=False`` with the cells
             covered so far.
         executor:
@@ -370,8 +368,6 @@ class ShmooRunner:
         """
         x_values = list(x_values)
         y_values = list(y_values)
-        if not x_values or not y_values:
-            raise ConfigurationError("both axes need values")
         if coarse_step < 2 or (coarse_step & (coarse_step - 1)) != 0:
             raise ConfigurationError(
                 f"coarse_step must be a power of two >= 2, "
@@ -379,32 +375,19 @@ class ShmooRunner:
             )
         nx, ny = len(x_values), len(y_values)
         if nx < 2 or ny < 2:
-            # Nothing to infer on a degenerate grid.
+            # Nothing to infer on a degenerate grid (and run rejects
+            # an empty axis).
             return self.run(x_values, y_values, progress=progress,
                             should_abort=should_abort,
                             executor=executor)
-        tel = telemetry.active()
-        guard = CallbackGuard(progress, should_abort)
-        if guard.active:
-            progress = guard.progress if progress is not None else None
-            should_abort = guard.should_abort
-        shape = (ny, nx)
-        passes = np.zeros(shape, dtype=bool)
-        evaluated = np.zeros(shape, dtype=bool)
-        known = np.zeros(shape, dtype=bool)
-        total = nx * ny
-
-        with self._cache_scope(), tel.span("shmoo.run_adaptive"):
+        with self._sweep("shmoo.run_adaptive", x_values, y_values,
+                         progress, should_abort, executor) as sweep:
+            passes, evaluated = sweep.passes, sweep.evaluated
+            known = np.zeros_like(evaluated)
             xs = sorted(set(range(0, nx, coarse_step)) | {nx - 1})
             ys = sorted(set(range(0, ny, coarse_step)) | {ny - 1})
-            seed_cells = [(yi, xi) for yi in ys for xi in xs]
-            aborted = self._evaluate_cells(
-                seed_cells, x_values, y_values, passes, evaluated,
-                should_abort, executor,
-            )
+            aborted = sweep.evaluate([(yi, xi) for yi in ys for xi in xs])
             known |= evaluated
-            if progress is not None:
-                progress(int(evaluated.sum()), total)
             blocks = [(xa, xb, ya, yb)
                       for ya, yb in zip(ys, ys[1:])
                       for xa, xb in zip(xs, xs[1:])]
@@ -436,69 +419,22 @@ class ShmooRunner:
                         for ya, yb in zip(ys_sub, ys_sub[1:])
                         for xa, xb in zip(xs_sub, xs_sub[1:])
                     )
-                if batch and not aborted:
-                    aborted = self._evaluate_cells(
-                        sorted(batch), x_values, y_values, passes,
-                        evaluated, should_abort, executor,
-                    )
+                if batch:
+                    aborted = sweep.evaluate(sorted(batch))
                     known |= evaluated
-                    if progress is not None:
-                        progress(int(evaluated.sum()), total)
                 blocks = next_blocks
             if not aborted and not known.all():
                 # Safety net; the recursion covers every cell, but an
                 # explicit sweep of stragglers keeps the completeness
                 # invariant independent of the block bookkeeping.
-                leftovers = [(int(yi), int(xi))
-                             for yi, xi in np.argwhere(~known)]
-                aborted = self._evaluate_cells(
-                    leftovers, x_values, y_values, passes, evaluated,
-                    should_abort, executor,
-                )
+                aborted = sweep.evaluate(
+                    [(int(yi), int(xi)) for yi, xi in np.argwhere(~known)])
                 known |= evaluated
-
-        n_eval = int(evaluated.sum())
-        n_pass = int(passes[evaluated].sum())
         # A filled cell may later be evaluated as a finer lattice
         # point (evaluation is ground truth and wins), so the filled
         # count is the covered-but-never-evaluated residue.
-        n_filled = int(known.sum()) - n_eval
-        tel.counter("shmoo.runs").inc()
-        tel.counter("shmoo.cells").inc(n_eval)
-        tel.counter("shmoo.cells_passed").inc(n_pass)
-        tel.counter("shmoo.cells_failed").inc(n_eval - n_pass)
-        tel.counter("shmoo.cells_filled").inc(n_filled)
-        return ShmooResult(
-            x_values=tuple(x_values),
-            y_values=tuple(y_values),
-            passes=passes,
-            x_name=self.x_name,
-            y_name=self.y_name,
-            evaluated=evaluated,
-            complete=not aborted,
-        )
-
-    def _evaluate_cells(self, cells, x_values, y_values, passes,
-                        evaluated, should_abort, executor) -> bool:
-        """Evaluate index pairs into the grids; True when aborted."""
-        items = [(yi, xi, x_values[xi], y_values[yi])
-                 for yi, xi in cells]
-        if executor is None:
-            for yi, xi, x, y in items:
-                if should_abort is not None and should_abort():
-                    return True
-                passes[yi, xi] = bool(self.test(x, y))
-                evaluated[yi, xi] = True
-            return False
-        fn = functools.partial(_evaluate_cell, self.test,
-                               cache=self.cache)
-        outcome = executor.run(fn, items, should_abort=should_abort)
-        for (yi, xi, _x, _y), ok in zip(items, outcome.results):
-            if ok is None:
-                continue
-            passes[yi, xi] = bool(ok)
-            evaluated[yi, xi] = True
-        return outcome.aborted
+        return sweep.result(aborted,
+                            filled=int(known.sum()) - int(evaluated.sum()))
 
 
 def strobe_rate_test(minitester, n_bits: int = 300,

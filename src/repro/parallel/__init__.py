@@ -6,8 +6,8 @@ then be done in parallel, increasing production throughput by an
 order of magnitude" (Figure 13). This subsystem is that replication
 for the simulation stack: one :class:`Executor` (``serial``,
 ``thread``, ``process`` or ``remote`` backend — four fixed names)
-runs partitioned workloads — shmoo grids and long BER runs split by
-:class:`ShardPlan`, a wafer's concurrent touchdowns — with
+runs partitioned workloads — a shmoo grid's cells, long BER runs
+split by :class:`ShardPlan`, a wafer's concurrent touchdowns — with
 deterministic per-shard seeding, bounded retry, timeouts, and
 telemetry that merges back into the parent registry so a 16-worker
 run reads identically to a serial one. Every backend keeps its books in one

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import math
 import pickle
 import time
@@ -43,6 +44,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import cache as artifact_cache
 from repro import telemetry
 from repro._rng import spawn_seeds
 from repro.errors import ConfigurationError, ReproError
@@ -485,9 +487,15 @@ class Executor:
         fn:
             The work function. For the process backend it must be
             picklable (a module-level function or a
-            :func:`functools.partial` over one).
+            :func:`functools.partial` over one). Serial and thread
+            chunks see the caller's cache scope itself; a
+            ``process`` chunk runs in an empty clone of the caller's
+            active cache (sharing its ``disk_path``, when set), and
+            none when caching is off; ``remote`` workers read
+            through the pool's cache tier.
         items:
-            Ordered work items (often :class:`ShardPlan` shards).
+            Ordered work items (a shmoo's cells, a
+            :class:`ShardPlan`'s shards, ...).
         seed_root:
             When given, per-item integer seeds are spawned
             deterministically from this root (int or sequence of
@@ -532,6 +540,11 @@ class Executor:
                    for i, (item, seed) in enumerate(zip(items, seeds))]
         if shipped:
             self._check_portable(fn, entries[0])
+        if self.backend == "process" and artifact_cache.enabled():
+            # Each chunk unpickles its own empty clone of the caller's
+            # cache (remote workers read through the pool's tier).
+            fn = functools.partial(_run_in_cache,
+                                   artifact_cache.active(), fn)
         size = self.chunk_size if self.chunk_size is not None else \
             max(1, math.ceil(len(items) / (self.max_workers * 4)))
         chunks = [entries[i:i + size]
@@ -741,6 +754,17 @@ class Executor:
         for snap in state.snapshots[1:]:
             combined = combined.merge(Registry.from_snapshot(snap))
         tel.absorb(combined)
+
+
+def _run_in_cache(cache, fn, item, seed):
+    """``fn(item, seed)`` inside a ``use_cache(cache)`` scope.
+
+    Module-level so a ``process`` run can pickle it around its work
+    function: each chunk then runs in the empty clone that
+    unpickling *cache* builds.
+    """
+    with artifact_cache.use_cache(cache):
+        return fn(item, seed)
 
 
 def _shut_down(pool, terminate: bool = False) -> None:

@@ -1,13 +1,12 @@
 """Shard planning: partition an ordered workload into shards.
 
-A :class:`ShardPlan` slices an ordered workload — a shmoo grid's
-cells, the bit budget of a long BER run — into contiguous,
-near-equal shards that execute independently; concatenating the
-shards' items reproduces the canonical order, so the caller puts
-per-shard results back where the serial code would have produced
-them. Planning is pure bookkeeping: the same plan drives the
-serial, thread, and process backends, which is what makes backend
-equivalence testable.
+A :class:`ShardPlan` slices an ordered workload — the bit budget
+of a long BER run — into contiguous, near-equal shards that execute
+independently; concatenating the shards' items reproduces the
+canonical order, so the caller puts per-shard results back where
+the serial code would have produced them. Planning is pure
+bookkeeping: the same plan drives every executor backend, which is
+what makes backend equivalence testable.
 """
 
 from __future__ import annotations

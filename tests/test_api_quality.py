@@ -72,8 +72,9 @@ def test_package_top_level_lazy_exports():
 
 
 #: The only callables that take a ``cache`` argument: the process
-#: default, the scope, and the sweep shorthand that also ships its
-#: cache to ``process`` shards. Stages read ``repro.cache.active()``.
+#: default, the scope, and the sweep shorthand that opens that scope
+#: around a sweep. Stages read ``repro.cache.active()``, and an
+#: executor carries the active cache to its ``process`` chunks.
 CACHE_TAKERS = {
     "repro.cache.enable",
     "repro.cache.use_cache",

@@ -1,5 +1,7 @@
 """Tests for the DigitalLogicCore facade."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,13 @@ class TestRegisters:
         state = dlc.run_test(500)
         assert state is SequencerState.DONE
         assert dlc.host_read(0x06) == 0x3
+
+    def test_pickled_core_keeps_its_control_hook(self, dlc):
+        clone = pickle.loads(pickle.dumps(dlc))
+        clone.host_write(0x08, 100)
+        clone.host_write(0x04, DigitalLogicCore.CTRL_ARM)
+        assert clone.host_read(0x06) == 0x1
+        assert dlc.host_read(0x06) == 0x0
 
     def test_abort_via_control(self, dlc):
         dlc.host_write(0x08, 100)

@@ -1,5 +1,8 @@
 """Tests for the Mini-Tester system composition."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,19 @@ class TestEyes:
 
 
 class TestLoopback:
+    def test_dropped_tester_freed_by_reference_counting(self):
+        """No reference cycle holds a tester's DLC after a loopback,
+        so dropping the tester frees it without the cycle collector."""
+        gc.disable()
+        try:
+            tester = MiniTester()
+            assert tester.run_loopback(n_bits=300, seed=1).passed
+            dlc = weakref.ref(tester.dlc)
+            del tester
+            assert dlc() is None
+        finally:
+            gc.enable()
+
     def test_loopback_passes_at_5g(self, mini):
         result = mini.run_loopback(n_bits=1500, seed=1)
         assert isinstance(result, LoopbackResult)

@@ -1,5 +1,6 @@
 """Tests for the sharded execution engine (all backends)."""
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -7,10 +8,13 @@ import sys
 import textwrap
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import cache as artifact_cache
 from repro import telemetry
+from repro.cache import ArtifactCache
 from repro.errors import ConfigurationError
 from repro.parallel import Executor, ShardError, WorkerPool
 
@@ -65,6 +69,15 @@ def slow_item(item, seed):
 
 def crash_worker(item, seed):
     os._exit(13)
+
+
+def cache_view(item, seed):
+    """The active cache as the chunk running *item* sees it."""
+    cache = artifact_cache.active()
+    disk = getattr(cache, "disk_path", None)
+    return (cache.enabled, len(cache),
+            getattr(cache, "max_entries", None),
+            None if disk is None else str(disk))
 
 
 class TestConfig:
@@ -412,3 +425,38 @@ class TestCallbackGuard:
         assert not result.complete
         assert reg.to_dict()["counters"][
             "parallel.callback_errors"] == 1
+
+
+class TestProcessChunkCache:
+    """A ``process`` chunk runs in an empty clone of the caller's
+    active cache, whatever the pool's start method."""
+
+    @pytest.fixture(params=("fork", "spawn"))
+    def start_method(self, request, monkeypatch):
+        ctx = multiprocessing.get_context(request.param)
+        monkeypatch.setattr(
+            Executor, "_make_pool",
+            lambda self: ProcessPoolExecutor(self.max_workers,
+                                             mp_context=ctx))
+        return request.param
+
+    def test_chunks_see_an_empty_clone(self, start_method, tmp_path):
+        cache = ArtifactCache(max_entries=7, disk_path=tmp_path)
+        cache.put("caller-only", 1)
+        with artifact_cache.use_cache(cache):
+            out = Executor("process", max_workers=N_WORKERS,
+                           chunk_size=2).run(cache_view, list(range(4)))
+        assert out.results == [(True, 0, 7, str(tmp_path))] * 4
+        assert len(cache) == 1  # the caller's cache is its own
+
+    def test_no_cache_when_caching_is_off(self, start_method):
+        with artifact_cache.use_cache(artifact_cache.NULL_CACHE):
+            out = Executor("process", max_workers=N_WORKERS,
+                           chunk_size=2).run(cache_view, list(range(4)))
+        assert out.results == [(False, 0, None, None)] * 4
+
+    def test_unpicklable_work_named_before_wrapping(self):
+        with artifact_cache.use_cache(ArtifactCache()):
+            with pytest.raises(ConfigurationError,
+                               match="<lambda> is not picklable"):
+                Executor("process").run(lambda item, seed: item, [1])

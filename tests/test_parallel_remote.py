@@ -99,6 +99,15 @@ def cached_bucket(prefix, item, seed):
         f"{prefix}:{bucket}", lambda: bucket * 100 + 5)
 
 
+def column_gate(x, y):
+    """A shmoo cell reading one shared and one per-column artifact
+    through the active cache."""
+    cache = artifact_cache.active()
+    base = cache.get_or_compute("rt-shmoo:base", lambda: 4.0)
+    return x + y > cache.get_or_compute(f"rt-shmoo:col:{x!r}",
+                                        lambda: base)
+
+
 @pytest.fixture(scope="module")
 def shared_pool():
     """One 2-worker pool shared by the non-destructive tests."""
@@ -190,8 +199,7 @@ class TestRemoteEquivalence:
         ys = [float(y) for y in range(5)]
         serial = ShmooRunner(gate).run(xs, ys)
         remote = ShmooRunner(gate).run(
-            xs, ys, executor=remote_executor(shared_pool),
-            n_shards=4)
+            xs, ys, executor=remote_executor(shared_pool, chunk_size=8))
         assert (serial.passes == remote.passes).all()
         assert (serial.evaluated == remote.evaluated).all()
         assert serial.complete and remote.complete
@@ -745,6 +753,22 @@ class TestSharedCacheReadThrough:
                 time.sleep(0.02)
         assert cache.get("rt-pub:0") == (True, 5)
         assert cache.get("rt-pub:1") == (True, 105)
+
+    def test_runner_cache_reads_through_the_pool_tier(self, shared_pool):
+        """A pre-warmed ``ShmooRunner(cache=)`` is the pool's tier:
+        workers read its entries instead of computing their own."""
+        xs = ys = [0.0, 1.0, 2.0, 3.0]
+        runner = ShmooRunner(column_gate, cache=ArtifactCache())
+        warm = runner.run(xs, ys)
+        assert runner.cache.stores == 5
+        with telemetry.use_registry() as reg:
+            remote = runner.run(
+                xs, ys,
+                executor=remote_executor(shared_pool, chunk_size=4))
+        assert (remote.passes == warm.passes).all()
+        counters = reg.to_dict()["counters"]
+        assert counters.get("cache.misses", 0) == 0
+        assert counters["cache.remote.hits"] > 0
 
     def test_cache_disabled_means_no_wire_traffic(self, shared_pool):
         fn = functools.partial(cached_bucket, "rt-off")

@@ -61,10 +61,10 @@ class TestBackendEquivalence:
         ys = list(np.linspace(0, 4, 5))
         snapshots = {}
         for backend in ("serial", "thread", "process"):
-            ex = Executor(backend=backend, max_workers=N_WORKERS)
+            ex = Executor(backend=backend, max_workers=N_WORKERS,
+                          chunk_size=5)
             with telemetry.use_registry() as reg:
-                ShmooRunner(circle_test).run(xs, ys, executor=ex,
-                                             n_shards=6)
+                ShmooRunner(circle_test).run(xs, ys, executor=ex)
             snapshots[backend] = reg.to_dict()["counters"]
         assert snapshots["serial"] == snapshots["thread"] \
             == snapshots["process"]
@@ -72,52 +72,72 @@ class TestBackendEquivalence:
         assert snapshots["serial"]["shmoo.cells"] == 30
 
     @given(nx=st.integers(1, 12), ny=st.integers(1, 10),
-           n_shards=st.integers(1, 16))
+           chunk_size=st.integers(1, 16))
     @settings(max_examples=25, deadline=None)
-    def test_sharded_grid_property(self, nx, ny, n_shards):
-        """Serial and sharded grids are identical for any shape."""
+    def test_sharded_grid_property(self, nx, ny, chunk_size):
+        """Serial and chunked grids are identical for any shape."""
         xs = list(np.linspace(0, 10, nx))
         ys = list(np.linspace(0, 10, ny))
         serial = ShmooRunner(parity_test).run(xs, ys)
         sharded = ShmooRunner(parity_test).run(
-            xs, ys, executor=Executor(backend="thread", max_workers=3),
-            n_shards=n_shards,
+            xs, ys, executor=Executor(backend="thread", max_workers=3,
+                                      chunk_size=chunk_size),
         )
         assert np.array_equal(serial.passes, sharded.passes)
 
 
 class TestColumnShards:
-    """Shards hold whole x columns, so concurrent shards never ask the
-    cache for one key. The counts below need ``n_shards`` to divide
-    ``len(xs)``: then no column straddles two shards."""
+    """Chunks hold whole x columns, so concurrent chunks never ask the
+    cache for one key. The counts below need ``chunk_size`` to be a
+    multiple of ``len(ys)``: then no column straddles two chunks."""
 
     xs = [float(x) for x in range(8)]
     ys = [0.1, 0.3, 0.5, 0.7]
-    n_shards = 4
+    chunk_size = 8
 
     def test_process_shards_compute_each_column_once(self):
         serial = ShmooRunner(column_cell).run(self.xs, self.ys)
         runner = ShmooRunner(column_cell, cache=ArtifactCache())
-        with Executor("process", max_workers=N_WORKERS) as ex, \
+        with Executor("process", max_workers=N_WORKERS,
+                      chunk_size=self.chunk_size) as ex, \
                 telemetry.use_registry() as reg:
-            sharded = runner.run(self.xs, self.ys, executor=ex,
-                                 n_shards=self.n_shards)
+            sharded = runner.run(self.xs, self.ys, executor=ex)
         counters = reg.to_dict()["counters"]
         assert np.array_equal(serial.passes, sharded.passes)
-        # Each shard's pickled cache computes its two columns once and
-        # serves their other three cells.
+        # Each chunk's clone of the cache computes its two columns
+        # once and serves their other three cells.
         assert counters["cache.misses"] == len(self.xs)
         assert counters["cache.hits"] == 24
 
     def test_thread_shards_never_wait_on_each_other(self):
         serial = ShmooRunner(column_cell).run(self.xs, self.ys)
         cache = ArtifactCache()
-        with Executor("thread", max_workers=N_WORKERS) as ex:
+        with Executor("thread", max_workers=N_WORKERS,
+                      chunk_size=self.chunk_size) as ex:
             sharded = ShmooRunner(column_cell, cache=cache).run(
-                self.xs, self.ys, executor=ex, n_shards=self.n_shards)
+                self.xs, self.ys, executor=ex)
         assert np.array_equal(serial.passes, sharded.passes)
         assert cache.waits == 0
         assert cache.stores == len(self.xs)
+
+
+class TestWalkOrder:
+    def test_inline_and_executor_call_test_x_major(self):
+        """Both dispatch paths walk whole x columns, y ascending."""
+        xs, ys = [0.0, 1.0, 2.0], [10.0, 20.0]
+        inline, chunked = [], []
+        ShmooRunner(lambda x, y: inline.append((x, y)) is None).run(
+            xs, ys)
+        ShmooRunner(lambda x, y: chunked.append((x, y)) is None).run(
+            xs, ys, executor=Executor("serial", chunk_size=4))
+        assert inline == chunked == [(x, y) for x in xs for y in ys]
+
+    def test_inline_test_exception_propagates_as_itself(self):
+        def broken(x, y):
+            raise KeyError("instrument offline")
+
+        with pytest.raises(KeyError, match="instrument offline"):
+            ShmooRunner(broken).run([0, 1], [0, 1])
 
 
 class TestProgress:
@@ -132,8 +152,8 @@ class TestProgress:
         seen = []
         ShmooRunner(parity_test).run(
             [0, 1, 2, 3], [0, 1, 2],
-            executor=Executor(backend="thread", max_workers=2),
-            n_shards=4,
+            executor=Executor(backend="thread", max_workers=2,
+                              chunk_size=3),
             progress=lambda done, total: seen.append((done, total)))
         assert seen[-1] == (12, 12)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)

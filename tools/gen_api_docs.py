@@ -204,7 +204,7 @@ Sweeps re-run nearly identical pipelines cell after cell.
 rendered NRZ waveforms, channel convolutions, folded eyes — in a
 bounded content-addressed store (`ArtifactCache`: in-memory LRU
 with entry and byte caps, plus an optional atomic on-disk backing
-shared across `repro.parallel` process shards via `disk_path`).
+shared across `repro.parallel` process chunks via `disk_path`).
 
 **The `cache_key()` contract.** Every cached stage composes its key
 with `repro.cache.canonical_digest(...)` over a type-tagged
@@ -226,8 +226,10 @@ one way to hand a cache to stage calls (it is context-local, like
 `telemetry.use_registry`; `enable`/`disable` set the process-wide
 default). Stages take no `cache=` argument. `ShmooRunner(...,
 cache=...)` is the sweep shorthand: it opens the scope around each
-sweep, and it is the one route that also reaches `process` shards,
-which receive the cache's pickled clone:
+sweep. A scope reaches an executor's chunks on every backend:
+`serial` and `thread` chunks use the cache itself, each `process`
+chunk runs in an empty clone of it (sharing its `disk_path`), and
+`remote` workers read through it as the pool's shared tier:
 
 ```python
 from repro import cache as artifact_cache
@@ -244,11 +246,12 @@ cache computes each artifact once. A compute that raises wakes its
 waiters, and each then claims the key and computes it itself; a
 compute asking for its own key on the same thread runs inline.
 `NullCache`, `RemoteCacheTier`, `get_or_compute_rows`, and processes
-sharing a `disk_path` do not single-flight. A sharded `ShmooRunner`
-sweep gives each shard whole x columns (put the rate on x), so its
-concurrent shards no longer ask for one key: two thread shards of a
+sharing a `disk_path` do not single-flight. `ShmooRunner` walks its
+cells x-major, so an executor chunk whose size is a multiple of the
+y axis's length holds whole x columns (put the rate on x), and its
+concurrent chunks do not ask for one key: two thread chunks of a
 cold sweep compute different rates side by side instead of waiting
-on each other, and a `process` shard computes its columns'
+on each other, and a `process` chunk computes its columns'
 artifacts once.
 
 Traffic is observable as `cache.{hits,misses,evictions,stores,waits}`
@@ -418,10 +421,12 @@ shards up to `max_retries`, and enforces per-chunk timeouts.
 `ShardPlan.split` cuts an ordered list of work items into
 contiguous, near-equal shards, and `ShardPlan.for_range` cuts a bit
 budget into `(start, count)` ranges; the shards' items, concatenated,
-are the canonical order. `ShmooRunner.run` lists its grid's cells x
-then y before splitting, so each shard is a run of whole x columns
-and cells sharing cached stimulus (one rate's rendered pattern) stay
-in one shard:
+are the canonical order. `ShmooRunner.run` hands an executor its
+grid's cells x-major, one item per cell, in one run chunked by the
+executor's `chunk_size`; a chunk size that is a multiple of the y
+axis's length makes each chunk a run of whole x columns, so cells
+sharing cached stimulus (one rate's rendered pattern) stay in one
+chunk:
 
 ```python
 from repro.host.shmoo import ShmooRunner
