@@ -32,10 +32,18 @@ from repro.service.jobs import Job, JobContext
 
 #: Shortest gap, in seconds, between two of an eye job's published
 #: partials (each with its progress tick). Its chunks come every
-#: fraction of a millisecond, far faster than a display redraws, and
+#: millisecond or two, faster than a display redraws, and
 #: each event costs a hand-off through the loop, the wire and the
 #: client.
 EYE_PUBLISH_INTERVAL_S = 0.005
+
+#: Samples an eye job folds between two checkpoints, unless its
+#: ``chunk_samples`` parameter says otherwise: small enough that a
+#: pause or abort lands within a few ms, large enough that the
+#: interpreter-lock hand-offs each chunk costs beside a computing
+#: thread stay a small part of the job (see
+#: :meth:`JobRunner.run_eye_job`).
+EYE_CHUNK_SAMPLES = 32768
 
 
 class JobRunner:
@@ -192,10 +200,15 @@ class JobRunner:
         """Streaming eye capture through the accumulator.
 
         Params: ``n_bits`` (1200), ``rate_gbps`` (2.5), ``seed``
-        (2), ``chunk_samples`` (2048), ``n_time_bins``/
-        ``n_volt_bins`` (32). Folds the PRBS record chunk by chunk;
-        every chunk boundary is a checkpoint, so a pause or abort
-        lands within one chunk. The grid-free
+        (2), ``chunk_samples`` (:data:`EYE_CHUNK_SAMPLES`),
+        ``n_time_bins``/``n_volt_bins`` (32). Folds read-only views
+        of the PRBS record chunk by chunk; every chunk boundary is a
+        checkpoint, so a pause or abort lands within one chunk. The
+        default checkpoints every 32 K samples, 15 times for the
+        default record: a chunk folds in about 1.3 ms alone and 2 ms
+        beside a busy shmoo thread. Each chunk also costs a few
+        interpreter-lock hand-offs under load, which made 2048-sample
+        chunks (235 of them) about 4x slower there. The grid-free
         :meth:`EyeAccumulator.snapshot` partial and its progress tick
         publish at most every :data:`EYE_PUBLISH_INTERVAL_S` (5 ms):
         the first chunk's always, and the last folded chunk's always,
@@ -212,7 +225,7 @@ class JobRunner:
         n_bits = int(params.get("n_bits", 1200))
         rate = float(params.get("rate_gbps", 2.5))
         seed = int(params.get("seed", 2))
-        chunk = int(params.get("chunk_samples", 2048))
+        chunk = int(params.get("chunk_samples", EYE_CHUNK_SAMPLES))
         if chunk < 1:
             raise ConfigurationError(
                 f"chunk_samples must be >= 1, got {chunk}"
@@ -236,7 +249,7 @@ class JobRunner:
         for i in range(0, n, chunk):
             if ctx.should_abort():
                 break
-            acc.update(Waveform(wf.values[i:i + chunk].copy(),
+            acc.update(Waveform(wf.values[i:i + chunk],
                                 dt=wf.dt, t0=wf.t0 + i * wf.dt))
             done = min(i + chunk, n)
             now = time.monotonic()

@@ -43,12 +43,13 @@ def wait_terminal(cli, job_id, timeout_s=60.0):
     raise AssertionError(f"job {job_id} never finished")
 
 
-def wait_for_event(cli, name, timeout_s=60.0):
-    """Read *cli*'s events up to the first named *name*; returns
-    every event read, that one last."""
+def wait_for_event(cli, name, where=lambda data: True, timeout_s=60.0):
+    """Read *cli*'s events up to the first named *name* whose data
+    satisfies *where*; returns every event read, that one last."""
     deadline = time.monotonic() + timeout_s
     seen = []
-    while not seen or seen[-1]["event"] != name:
+    while not seen or seen[-1]["event"] != name \
+            or not where(seen[-1]["data"]):
         assert time.monotonic() < deadline, f"no {name} event"
         event = cli.next_event(timeout_s=1.0)
         if event is not None:
@@ -137,8 +138,12 @@ class TestMultiTenantFloor:
                 assert shmoo_final["state"] == "completed"
 
                 # -- preemption was real: the shmoo paused and the
-                # whole lifecycle streamed to the subscriber.
-                events = early + watcher.drain_events()
+                # whole lifecycle streamed to the subscriber. Its
+                # terminal state event can reach the watcher after
+                # its status did, so read up to that event.
+                events = early + wait_for_event(
+                    watcher, f"job.{shmoo['job_id']}.state",
+                    where=lambda data: data["state"] in TERMINAL)
                 shmoo_states = [
                     e["data"]["state"] for e in events
                     if e["event"] ==

@@ -3,8 +3,8 @@
 A :class:`JobContext` on a stub loop and hub records every event a
 job publishes and every checkpoint it polls, so these tests pin how
 often each builtin publishes: the eye job checkpoints every chunk
-but publishes at display rate, and the shmoo job publishes one
-partial per cell.
+(32 K samples by default) but publishes at display rate, and the
+shmoo job publishes one partial per cell.
 """
 
 import numpy as np
@@ -56,12 +56,14 @@ def _run(kind, params, abort_after=None):
 
 #: The eye job's record at its defaults: 1200 bits at 2.5 Gbps.
 EYE_SAMPLES = 480_801
+#: A fine chunking, so that a record has many chunks to publish from.
+FINE = {"chunk_samples": 2048}
 EYE_CHUNKS = -(-EYE_SAMPLES // 2048)
 
 
 class TestEyeJobEvents:
     def test_checkpoint_per_chunk_publish_far_fewer(self):
-        ctx, out = _run("eye", {})
+        ctx, out = _run("eye", FINE)
         partials = ctx.published("partial")
         ticks = ctx.published("progress")
         assert out["complete"] and out["n_samples"] == EYE_SAMPLES
@@ -78,7 +80,7 @@ class TestEyeJobEvents:
 
     def test_first_and_last_always_published(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 3600.0)
-        ctx, out = _run("eye", {})
+        ctx, out = _run("eye", FINE)
         assert ctx.checks == EYE_CHUNKS
         assert [p["n_samples"] for p in ctx.published("partial")] \
             == [2048, EYE_SAMPLES]
@@ -88,7 +90,7 @@ class TestEyeJobEvents:
 
     def test_abort_mid_record(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 3600.0)
-        ctx, out = _run("eye", {}, abort_after=40)
+        ctx, out = _run("eye", FINE, abort_after=40)
         assert out["complete"] is False
         assert ctx.checks == 41  # the 41st checkpoint sees the abort
         assert out["n_samples"] == 40 * 2048
@@ -98,11 +100,41 @@ class TestEyeJobEvents:
             == [2048, 40 * 2048]
 
     def test_result_independent_of_publishing(self, monkeypatch):
-        _, throttled = _run("eye", {"n_bits": 300})
+        _, throttled = _run("eye", dict(FINE, n_bits=300))
         monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 0.0)
-        ctx, every = _run("eye", {"n_bits": 300})
+        ctx, every = _run("eye", dict(FINE, n_bits=300))
         assert len(ctx.published("partial")) == ctx.checks
         assert throttled == every
+
+
+class TestEyeJobDefaultChunk:
+    """The default job checkpoints once per 32 K-sample chunk."""
+
+    CHUNK = 32_768
+
+    def test_checkpoint_per_32k_chunk(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 3600.0)
+        ctx, out = _run("eye", {})
+        assert out["complete"] and out["n_samples"] == EYE_SAMPLES
+        assert ctx.checks == -(-EYE_SAMPLES // self.CHUNK) == 15
+        assert [p["n_samples"] for p in ctx.published("partial")] \
+            == [self.CHUNK, EYE_SAMPLES]
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_abort_after_k_checkpoints(self, monkeypatch, k):
+        monkeypatch.setattr(runner_mod, "EYE_PUBLISH_INTERVAL_S", 3600.0)
+        ctx, out = _run("eye", {}, abort_after=k)
+        assert out["complete"] is False
+        assert ctx.checks == k + 1
+        assert out["n_samples"] == k * self.CHUNK
+
+    def test_result_equals_fine_chunking(self):
+        coarse_ctx, coarse = _run("eye", {})
+        fine_ctx, fine = _run("eye", FINE)
+        assert coarse_ctx.checks < fine_ctx.checks
+        for key in ("grid", "phase_hist", "n_crossings", "n_samples"):
+            assert coarse[key] == fine[key], key
+        assert np.sum(coarse["grid"]) > 0
 
 
 class TestShmooJobEvents:

@@ -140,9 +140,13 @@ equivalence contract against its scalar reference, enforced by
   When the fold tiles, the accumulator passes one period of phases
   (`_binning.period_phases`), so the time axis is binned once per
   period and tiled. Counts are identical to `histogramdd`. The
-  point is the call count: a streaming update of a 2048-sample chunk
-  is dozens of short numpy calls, and beside a busy thread each one
-  can cost an interpreter-lock hand-off.
+  point is the call count: a streaming update is dozens of numpy
+  calls, and beside a busy thread each one on a short chunk can cost
+  an interpreter-lock hand-off. Fewer, larger updates help more
+  than a leaner update: the service's `eye` job folds 32 K-sample
+  chunks, while an arithmetic binning that dropped the two
+  `searchsorted` calls made 2048-sample updates hand the lock over
+  more often and run slower under load.
 - **Strobed receive** (`repro.pecl.buffer.ProcessedView`):
   `PECLReceiver.receive_bits` hands its sampler a view of the input
   buffer's output instead of the whole regenerated record. The
@@ -637,13 +641,18 @@ shard), `eye` (chunked `EyeAccumulator` fold), and `wafer`
 (multi-site sort summary). A job's checkpoints and its events are
 separate choices: every event is a hand-off through the event loop,
 the wire and each subscribed client, so the `eye` job keeps a
-checkpoint per 2048-sample chunk (pause and abort land within one
-chunk) but publishes its grid-free `snapshot()` partial and progress
-tick at most every 5 ms (`repro.service.runner.EYE_PUBLISH_INTERVAL_S`),
-always the first and the last folded chunk's. A default eye job
-publishes about 12 partials for its 235 chunks when it runs alone,
-and more beside a busy shmoo, which slows it; its result is the
-same whatever the publishing.
+checkpoint per 32 K-sample chunk
+(`repro.service.runner.EYE_CHUNK_SAMPLES`; pause and abort land
+within one chunk, about 2 ms beside a busy shmoo) but publishes its
+grid-free `snapshot()` partial and progress tick at most every 5 ms
+(`repro.service.runner.EYE_PUBLISH_INTERVAL_S`), always the first
+and the last folded chunk's. A checkpoint costs more than its poll:
+beside a busy thread each chunk's short numpy calls hand the
+interpreter lock over, so a default eye job takes about 125 ms there
+with 235 chunks of 2048 samples and about 35 ms with its 15 chunks.
+It publishes about 4 partials when it runs alone; its result
+is the same whatever the chunking (the `chunk_samples` parameter)
+or the publishing.
 
 **Streaming.** Topics `job.<id>.state` / `.progress` / `.partial`
 with trailing-`*` wildcards. Per-subscriber queues are bounded and
