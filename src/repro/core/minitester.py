@@ -139,9 +139,7 @@ class MiniTester(TestSystem):
         rate = self.rate_gbps if rate_gbps is None else rate_gbps
         wf = self.prbs_waveform(n_bits, seed=seed, rate_gbps=rate)
         if through_dut:
-            wf = self.channel.round_trip().apply(wf) \
-                if isinstance(self.channel, InterposerChannel) \
-                else self.channel.apply(wf)
+            wf = self._probe_path().apply(wf)
         return wf
 
     def run_loopback(self, n_bits: int = 2000, seed: int = 1,
@@ -153,16 +151,13 @@ class MiniTester(TestSystem):
         with tel.span("minitester.run_loopback"):
             wf = self.loopback_waveform(n_bits, seed=seed,
                                         rate_gbps=rate)
-            # Strobe at cell center unless told otherwise.
             if strobe_code is None:
-                ui = 1_000.0 / rate
-                step = self.receiver.sampler.resolution
-                strobe_code = int(round((ui / 2.0) / step))
+                strobe_code = self._center_code(rate)
             # Account for the channel's bulk delay when strobing.
-            t_first = self._channel_delay()
             bits = self.receiver.receive_bits(
                 wf, rate, n_bits, strobe_code=strobe_code,
-                t_first_bit=t_first, rng=np.random.default_rng(seed + 7),
+                t_first_bit=self._probe_path().delay_ps,
+                rng=np.random.default_rng(seed + 7),
             )
             expected = self._expected_serial(n_bits, seed=seed,
                                              rate_gbps=rate)
@@ -196,16 +191,13 @@ class MiniTester(TestSystem):
             payload = prbs_payload_bytes(order, n_bytes, seed=seed)
             wf = self.transmitter.transmit_coded(
                 payload, rate, rng=np.random.default_rng(seed))
-            wf = self.channel.round_trip().apply(wf) \
-                if isinstance(self.channel, InterposerChannel) \
-                else self.channel.apply(wf)
+            path = self._probe_path()
+            wf = path.apply(wf)
             if strobe_code is None:
-                ui = 1_000.0 / rate
-                step = self.receiver.sampler.resolution
-                strobe_code = int(round((ui / 2.0) / step))
+                strobe_code = self._center_code(rate)
             frame = self.receiver.receive_payload(
                 wf, rate, n_bytes, strobe_code=strobe_code,
-                t_first_bit=self._channel_delay(),
+                t_first_bit=path.delay_ps,
                 rng=np.random.default_rng(seed + 7),
             )
             received = np.unpackbits(frame.payload)
@@ -219,10 +211,18 @@ class MiniTester(TestSystem):
                                        rate_gbps=rate,
                                        strobe_code=strobe_code)
 
-    def _channel_delay(self) -> float:
+    def _probe_path(self) -> LTIChannel:
+        """The path a looped-back signal takes: out through the
+        interposer and back (its round trip), or the given channel
+        once when it is not an interposer."""
         if isinstance(self.channel, InterposerChannel):
-            return self.channel.round_trip().delay_ps
-        return self.channel.delay_ps
+            return self.channel.round_trip()
+        return self.channel
+
+    def _center_code(self, rate: float) -> int:
+        """The strobe code of the bit cell's center at *rate*."""
+        ui = 1_000.0 / rate
+        return int(round((ui / 2.0) / self.receiver.sampler.resolution))
 
     def _expected_serial(self, n_bits: int, seed: int,
                          rate_gbps: float) -> np.ndarray:
@@ -258,13 +258,11 @@ class MiniTester(TestSystem):
         wf = self.transmitter.transmit_serial(
             bits, rate, rng=np.random.default_rng(seed)
         )
-        looped = self.channel.round_trip().apply(wf) \
-            if isinstance(self.channel, InterposerChannel) \
-            else self.channel.apply(wf)
-        regen = self.receiver.regenerate(looped)
+        path = self._probe_path()
+        regen = self.receiver.regenerate(path.apply(wf))
         return self.receiver.sampler.reconstruct_pattern(
             regen, rate, pattern_len, n_reps=n_reps,
-            t_first_bit=self._channel_delay() + pattern_len
+            t_first_bit=path.delay_ps + pattern_len
             * (1_000.0 / rate),
             rng=np.random.default_rng(seed + 3),
         )

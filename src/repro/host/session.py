@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,9 @@ from repro import telemetry
 from repro._rng import spawn_seeds
 from repro.errors import ConfigurationError, ReproError
 from repro.core.minitester import MiniTester
-from repro.parallel import Executor, ShardPlan, ber_shard_worker
+from repro.parallel import (
+    Executor, ShardPlan, ber_shard, ber_shard_worker,
+)
 from repro.dlc.selftest import SelfTestReport, run_self_test
 from repro.host.results import Datalog
 from repro.host.testprogram import TestProgram, standard_eye_program
@@ -134,6 +136,37 @@ class BERCharacterization:
                 f"{self.n_shards} shards)")
 
 
+def _pool(pairs: List[Tuple[int, int]],
+          rate_gbps: float) -> BERCharacterization:
+    """Pool per-shard ``(n_bits, n_errors)`` pairs, in shard order."""
+    return BERCharacterization(
+        total_bits=sum(b for b, _ in pairs),
+        total_errors=sum(e for _, e in pairs),
+        shard_errors=tuple(e for _, e in pairs),
+        rate_gbps=rate_gbps,
+    )
+
+
+def ber_steps(tester: MiniTester, total_bits: int, n_shards: int,
+              seed: int, rate_gbps: float
+              ) -> Iterator[Tuple[BERCharacterization, int]]:
+    """A serial BER characterization, one shard per step.
+
+    The *total_bits* budget is partitioned by
+    :meth:`ShardPlan.for_range`, and each shard is one
+    :func:`~repro.parallel.ber_shard` loopback on *tester* with a
+    seed from :func:`~repro._rng.spawn_seeds` on *seed*. After each
+    shard yields ``(result, n_shards)``: the characterization of the
+    shards so far and the plan's shard count.
+    """
+    plan = ShardPlan.for_range(total_bits, n_shards)
+    ranges = [shard.items[0] for shard in plan.shards]
+    pairs = []
+    for item, s in zip(ranges, spawn_seeds(len(ranges), root=seed)):
+        pairs.append(ber_shard(tester, rate_gbps, item, s))
+        yield _pool(pairs, rate_gbps), len(ranges)
+
+
 class TestSession:
     """Sequences bring-up and production on one mini-tester.
 
@@ -221,11 +254,11 @@ class TestSession:
                          ) -> BERCharacterization:
         """Deep BER characterization, optionally sharded over workers.
 
-        The *total_bits* budget is partitioned by
-        :meth:`ShardPlan.for_range`; each shard loops back its bit
-        count with a seed spawned deterministically from *seed*, so
-        the serial path and every executor backend measure the same
-        shard set and pool to identical totals. Executor workers
+        The serial path drains :func:`ber_steps`. An executor runs
+        the same :meth:`ShardPlan.for_range` shards, each with
+        :func:`~repro.parallel.ber_shard_worker` and a seed spawned
+        from *seed*, so every backend measures the same shard set
+        and pools to identical totals. Executor workers
         rebuild the tester from :meth:`TestSystem.clone_spec` and
         cache it for their lifetime (the replicated-array model);
         testers customized beyond their clone spec characterize the
@@ -235,30 +268,20 @@ class TestSession:
         if total_bits < 1:
             raise ConfigurationError("need a positive bit budget")
         rate = self.tester.rate_gbps if rate_gbps is None else rate_gbps
-        plan = ShardPlan.for_range(total_bits, n_shards)
-        ranges = [shard.items[0] for shard in plan.shards]
         tel = telemetry.active()
         with tel.span("session.characterize_ber"):
             if executor is None:
-                seeds = spawn_seeds(len(ranges), root=seed)
-                counts = [
-                    self.tester.run_loopback(n_bits=int(count),
-                                             seed=int(s),
-                                             rate_gbps=rate).ber
-                    for (_, count), s in zip(ranges, seeds)
-                ]
-                pairs = [(b.n_bits, b.n_errors) for b in counts]
+                for result, _ in ber_steps(self.tester, total_bits,
+                                           n_shards, seed, rate):
+                    pass
             else:
+                plan = ShardPlan.for_range(total_bits, n_shards)
                 fn = functools.partial(ber_shard_worker,
                                        self.tester.clone_spec(), rate)
-                outcome = executor.run(fn, ranges, seed_root=seed)
-                pairs = outcome.results
-        result = BERCharacterization(
-            total_bits=sum(b for b, _ in pairs),
-            total_errors=sum(e for _, e in pairs),
-            shard_errors=tuple(e for _, e in pairs),
-            rate_gbps=rate,
-        )
+                outcome = executor.run(
+                    fn, [shard.items[0] for shard in plan.shards],
+                    seed_root=seed)
+                result = _pool(outcome.results, rate)
         tel.counter("session.ber_characterizations").inc()
         tel.counter("session.ber_bits").inc(result.total_bits)
         tel.counter("session.ber_errors").inc(result.total_errors)

@@ -33,7 +33,9 @@ from repro.parallel.executor import (
     CallbackGuard, ChunkLedger, ExecutionResult, Executor, ShardError,
 )
 from repro.parallel.shards import Shard, ShardPlan
-from repro.parallel.workers import ber_shard_worker, run_chunk
+from repro.parallel.workers import (
+    ber_shard, ber_shard_worker, run_chunk,
+)
 
 # Imported after the executor so its `from repro.parallel import
 # Executor` (via repro.service) resolves.
@@ -42,5 +44,5 @@ from repro.parallel.pool import WorkerPool
 __all__ = [
     "CallbackGuard", "ChunkLedger", "ExecutionResult", "Executor",
     "ShardError", "Shard", "ShardPlan", "WorkerPool",
-    "ber_shard_worker", "run_chunk",
+    "ber_shard", "ber_shard_worker", "run_chunk",
 ]

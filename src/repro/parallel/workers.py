@@ -61,17 +61,22 @@ def _cached_system(spec: dict):
     return system
 
 
-def ber_shard_worker(spec: dict, rate_gbps: Optional[float],
-                     item: Tuple[int, int],
-                     seed: Optional[int]) -> Tuple[int, int]:
-    """One BER shard: loop back ``count`` bits on a cloned tester.
+def ber_shard(tester, rate_gbps: Optional[float], item: Tuple[int, int],
+              seed: Optional[int]) -> Tuple[int, int]:
+    """One BER shard: loop back ``count`` bits on *tester*.
 
     *item* is a :meth:`ShardPlan.for_range` ``(start, count)``
     range; *seed* the shard's spawned seed. Returns
     ``(n_bits, n_errors)``.
     """
     _, count = item
-    tester = _cached_system(spec)
-    result = tester.run_loopback(n_bits=int(count), seed=int(seed),
-                                 rate_gbps=rate_gbps)
-    return result.ber.n_bits, result.ber.n_errors
+    ber = tester.run_loopback(n_bits=int(count), seed=int(seed),
+                              rate_gbps=rate_gbps).ber
+    return ber.n_bits, ber.n_errors
+
+
+def ber_shard_worker(spec: dict, rate_gbps: Optional[float],
+                     item: Tuple[int, int],
+                     seed: Optional[int]) -> Tuple[int, int]:
+    """:func:`ber_shard` on this worker's cached clone of *spec*."""
+    return ber_shard(_cached_system(spec), rate_gbps, item, seed)

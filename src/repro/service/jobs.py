@@ -11,7 +11,7 @@ optional deadline, and a lifecycle::
 
 Control is cooperative and rides the measurement stack's existing
 ``should_abort`` seam: the worker thread polls
-:meth:`JobContext.should_abort` between cells/shards/chunks, and
+:meth:`JobContext.should_abort` between cells/shards/touchdowns/chunks, and
 that checkpoint is where an abort is observed and where a pause
 physically parks the thread (blocking on a condition until resume
 or abort). Because the pause happens *inside* the callback — the
@@ -189,9 +189,10 @@ class JobContext:
     Every event is one hand-off through the loop, the wire and each
     subscribed client, so a job polls :meth:`should_abort` as often
     as its pause latency needs and publishes only as often as a
-    reader can use: the builtin shmoo publishes one partial per
-    cell, the BER job one per shard, and the eye job checkpoints
-    every chunk but publishes at most every
+    reader can use: the builtin shmoo checkpoints and publishes a
+    partial per cell, the BER job per shard, the wafer job
+    checkpoints per touchdown with one progress tick each, and the
+    eye job checkpoints every chunk but publishes at most every
     :data:`repro.service.runner.EYE_PUBLISH_INTERVAL_S`.
 
     Topics: ``job.<id>.state``, ``job.<id>.progress``,

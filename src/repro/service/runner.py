@@ -3,31 +3,33 @@
 The bridge between the async master and the synchronous
 measurement stack: the scheduler hands a :class:`~.jobs.Job` plus
 its :class:`~.jobs.JobContext` to :meth:`JobRunner.run` on a worker
-thread (``asyncio.to_thread``), and the job type wires the
-context's ``should_abort``/``progress`` into the existing hooks of
-:class:`~repro.host.shmoo.ShmooRunner`, the BER shard plan, and the
-streaming :class:`~repro.eye.EyeAccumulator`.
+thread (``asyncio.to_thread``). Each job type adapts one library
+measurement: it wires the context's ``should_abort``/``progress``
+into the hooks of :class:`~repro.host.shmoo.ShmooRunner`, steps the
+BER and wafer generators one shard or touchdown per checkpoint, and
+folds the eye chunk by chunk into a streaming
+:class:`~repro.eye.EyeAccumulator`.
 
-Every builtin reuses the library's canonical computation — the
-shmoo cell comes from :func:`repro.host.shmoo.strobe_rate_test`,
-the BER shard math from the same
-:class:`~repro.parallel.ShardPlan` + :func:`~repro._rng.spawn_seeds`
-recipe as :meth:`TestSession.characterize_ber` — so a job submitted
-over RPC returns bit-identical numbers to the direct library call
-with the same parameters.
+Every builtin runs the library's own body — the shmoo cell is
+:func:`repro.host.shmoo.strobe_rate_test`, the BER shards are
+:func:`repro.host.session.ber_steps` (the serial
+:meth:`TestSession.characterize_ber`), the touchdowns are
+:meth:`MultiSiteScheduler.sort_steps` (:meth:`sort_wafer`) — so a
+job submitted over RPC returns bit-identical numbers to the direct
+library call with the same parameters.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro import telemetry
-from repro._rng import spawn_seeds
 from repro.errors import ConfigurationError
-from repro.parallel import Executor, ShardPlan
+from repro.parallel import Executor
 from repro.service.jobs import Job, JobContext
 
 #: Shortest gap, in seconds, between two of an eye job's published
@@ -154,46 +156,34 @@ class JobRunner:
         """Sharded BER characterization on a fresh mini-tester.
 
         Params: ``total_bits`` (20000), ``n_shards`` (4), ``seed``
-        (1), ``rate_gbps`` (tester default). Shard partitioning and
-        per-shard seeding follow
-        :meth:`TestSession.characterize_ber` exactly — identical
-        totals to the direct call. Streams cumulative tallies after
-        every shard; each shard boundary is a pause/abort
-        checkpoint.
+        (1), ``rate_gbps`` (tester default). Steps
+        :func:`~repro.host.session.ber_steps`, the body of the
+        serial :meth:`TestSession.characterize_ber` — identical
+        totals to the direct call. Each shard boundary is a
+        pause/abort checkpoint, and the cumulative tallies stream
+        after every shard.
         """
         from repro.core.minitester import MiniTester
-        from repro.host.session import BERCharacterization
+        from repro.host.session import BERCharacterization, ber_steps
 
         total_bits = int(params.get("total_bits", 20_000))
-        n_shards = int(params.get("n_shards", 4))
-        seed = int(params.get("seed", 1))
         if total_bits < 1:
             raise ConfigurationError("need a positive bit budget")
         tester = MiniTester()
         rate = float(params.get("rate_gbps", tester.rate_gbps))
-        plan = ShardPlan.for_range(total_bits, n_shards)
-        ranges = [shard.items[0] for shard in plan.shards]
-        seeds = spawn_seeds(len(ranges), root=seed)
-        pairs = []
-        for i, ((_start, count), s) in enumerate(zip(ranges, seeds)):
-            if ctx.should_abort():
-                break
-            ber = tester.run_loopback(n_bits=int(count), seed=int(s),
-                                      rate_gbps=rate).ber
-            pairs.append((ber.n_bits, ber.n_errors))
-            ctx.partial({"shards_done": len(pairs),
-                         "n_shards": len(ranges),
-                         "bits": sum(b for b, _ in pairs),
-                         "errors": sum(e for _, e in pairs)})
-            ctx.progress(i + 1, len(ranges))
-        result = BERCharacterization(
-            total_bits=sum(b for b, _ in pairs),
-            total_errors=sum(e for _, e in pairs),
-            shard_errors=tuple(e for _, e in pairs),
-            rate_gbps=rate,
-        )
+        steps = ber_steps(tester, total_bits,
+                          int(params.get("n_shards", 4)),
+                          int(params.get("seed", 1)), rate)
+        result, n_shards = BERCharacterization(0, 0, (), rate), None
+        while result.n_shards != n_shards and not ctx.should_abort():
+            result, n_shards = next(steps)
+            ctx.partial({"shards_done": result.n_shards,
+                         "n_shards": n_shards,
+                         "bits": result.total_bits,
+                         "errors": result.total_errors})
+            ctx.progress(result.n_shards, n_shards)
         out = result.to_dict()
-        out["complete"] = len(pairs) == len(ranges)
+        out["complete"] = result.n_shards == n_shards
         return out
 
     def run_eye_job(self, ctx: JobContext, params: dict) -> dict:
@@ -264,22 +254,22 @@ class JobRunner:
         return out
 
     def run_wafer_job(self, ctx: JobContext, params: dict) -> dict:
-        """Multi-site wafer sort.
+        """Multi-site wafer sort, one touchdown per checkpoint.
 
         Params: ``diameter_mm`` (100), ``die_mm`` (10),
-        ``n_sites`` (4), ``test_time_s`` (0.5), ``seed`` (0). The
-        sort itself is one uninterruptible unit (the wafer stack
-        has no mid-sort hooks), so the only checkpoint is before
-        the first touchdown.
+        ``n_sites`` (4), ``test_time_s`` (0.5), ``seed`` (0). Steps
+        :meth:`MultiSiteScheduler.sort_steps`: every touchdown is a
+        pause/abort checkpoint (a few ms apart) with one progress
+        tick after it. Returns the sort's counts and wafer bins,
+        bit-identical to :meth:`~MultiSiteScheduler.sort_wafer` and
+        :func:`~repro.wafer.inkmap.summarize`; a sort cut short
+        returns the touchdowns it finished, marked incomplete.
         """
         from repro.wafer.inkmap import summarize
         from repro.wafer.map import WaferMap
         from repro.wafer.probe import ProbeCard
-        from repro.wafer.scheduler import MultiSiteScheduler
+        from repro.wafer.scheduler import MultiSiteScheduler, SortRun
 
-        if ctx.should_abort():
-            return {"dies_tested": 0, "touchdowns": 0,
-                    "total_time_s": 0.0, "complete": False}
         die = float(params.get("die_mm", 10.0))
         wafer = WaferMap(
             diameter_mm=float(params.get("diameter_mm", 100.0)),
@@ -288,11 +278,14 @@ class JobRunner:
         card = ProbeCard(n_sites=int(params.get("n_sites", 4)))
         scheduler = MultiSiteScheduler(
             card, test_time_s=float(params.get("test_time_s", 0.5)))
-        ctx.progress(0, 1)
-        run = scheduler.sort_wafer(wafer,
-                                   seed=int(params.get("seed", 0)))
+        run, n_touchdowns = SortRun([], 0.0, 0), None
+        with contextlib.closing(scheduler.sort_steps(
+                wafer, seed=int(params.get("seed", 0)))) as steps:
+            while run.touchdowns != n_touchdowns \
+                    and not ctx.should_abort():
+                run, n_touchdowns = next(steps)
+                ctx.progress(run.touchdowns, n_touchdowns)
         summary = summarize(wafer)
-        ctx.progress(1, 1)
         return {
             "dies_tested": int(run.dies_tested),
             "touchdowns": int(run.touchdowns),
@@ -302,5 +295,5 @@ class JobRunner:
                      "failed": summary.failed,
                      "skipped": summary.skipped,
                      "untested": summary.untested},
-            "complete": True,
+            "complete": run.touchdowns == n_touchdowns,
         }

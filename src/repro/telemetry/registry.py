@@ -204,24 +204,7 @@ class Registry:
         per-thread runtime state, not merged data, so an in-flight
         span simply contributes nothing until it closes.
         """
-        out = Registry()
-        for n, c in list(self._counters.items()):
-            out.counter(n).inc(c.value)
-        for n, c in list(other._counters.items()):
-            out.counter(n).inc(c.value)
-        for n, g in list(self._gauges.items()):
-            out.gauge(n).set(g.value)
-        for n, g in list(other._gauges.items()):
-            out.gauge(n).set(g.value)
-        for src in (self._timers, other._timers):
-            for n, t in list(src.items()):
-                dst = out.timer(n)
-                dst.count += t.count
-                dst.total_s += t.total_s
-                if t.count:
-                    dst.min_s = min(dst.min_s, t.min_s)
-                    dst.max_s = max(dst.max_s, t.max_s)
-        return out
+        return Registry().absorb(self).absorb(other)
 
     def absorb(self, other: "Registry") -> "Registry":
         """Merge *other* into this registry in place; returns self.

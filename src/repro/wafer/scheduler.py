@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError
 from repro.parallel import Executor
 from repro.wafer.dut import WLPDevice
 from repro.wafer.map import DieState, WaferMap
-from repro.wafer.probe import ProbeCard, Touchdown
+from repro.wafer.probe import ProbeCard
 
 
 def _default_dut_factory(pos: Tuple[int, int]) -> WLPDevice:
@@ -34,10 +34,10 @@ def _probe_site(dut_factory: Callable[[Tuple[int, int]], WLPDevice],
                 pos: Tuple[int, int], seed) -> Tuple[bool, float]:
     """One site's test, runnable on any executor backend.
 
-    Returns ``(passed, test_time_s)``; the time carries the same
-    +/-10% site-to-site variation the serial model applies, drawn
-    from the site's spawned seed so results are deterministic per
-    (wafer seed, touchdown, site) regardless of worker scheduling.
+    Returns ``(passed, test_time_s)``, the time with a +/-10%
+    site-to-site variation drawn from *seed*: a site's spawned seed
+    on an executor, or the serial sort's own ``Generator`` (which
+    ``np.random.default_rng`` returns as is).
     """
     rng = np.random.default_rng(seed)
     dut = dut_factory(pos)
@@ -122,8 +122,7 @@ class MultiSiteScheduler:
         randomness is spawned deterministically from the sort seed
         and touchdown index, so outcomes are reproducible (though
         the RNG stream differs from the serial model's single
-        interleaved stream). The serial path stays the default and
-        bit-exact.
+        interleaved stream).
     """
 
     def __init__(self, card: ProbeCard, test_time_s: float = 2.0,
@@ -137,97 +136,85 @@ class MultiSiteScheduler:
         self.dut_factory = dut_factory or _default_dut_factory
         self.executor = executor
 
-    def _test_one(self, dut: WLPDevice,
-                  rng: np.random.Generator) -> Tuple[bool, float]:
-        """One die's test: BIST plus outcome; returns (pass, time)."""
-        result = dut.run_bist(n_vectors=128)
-        # Site-to-site time variation (settling, retries): +/-10%.
-        t = self.test_time_s * float(rng.uniform(0.9, 1.1))
-        return result.passed, t
-
     def sort_wafer(self, wafer: WaferMap, seed: int = 0) -> SortRun:
         """Probe the whole wafer; updates die states in place.
 
-        With an executor configured, every touchdown's landed sites
-        run concurrently on its backend; otherwise the serial model
-        walks sites in order (bit-exact with earlier releases).
+        Drains :meth:`sort_steps`: with an executor configured,
+        every touchdown's landed sites run concurrently on its
+        backend; otherwise the serial model walks sites in order.
+        """
+        for run, _ in self.sort_steps(wafer, seed):
+            pass
+        return run
+
+    def sort_steps(self, wafer: WaferMap, seed: int = 0
+                   ) -> Iterator[Tuple[SortRun, int]]:
+        """Probe the wafer one touchdown per step.
+
+        After each touchdown yields ``(run, n_touchdowns)``: the
+        :class:`SortRun` so far, updated in place, and the plan's
+        touchdown count. Closing the generator early stops the sort;
+        the ``wafer.*`` counters cover the touchdowns that ran.
         """
         rng = np.random.default_rng(seed)
         plan = self.card.plan_touchdowns(wafer)
-        assignments: List[SiteAssignment] = []
-        total_time = 0.0
+        run = SortRun(assignments=[], total_time_s=0.0, touchdowns=0)
         tel = telemetry.active()
-        with tel.span("wafer.sort"):
-            for td_index, touchdown in enumerate(plan):
-                total_time += touchdown.index_time_s
-                if self.executor is None:
-                    slowest = self._touchdown_serial(
-                        wafer, touchdown, rng, assignments)
-                else:
-                    slowest = self._touchdown_concurrent(
-                        wafer, touchdown, rng, assignments,
-                        seed, td_index)
-                # Parallel sites: the touchdown costs its slowest site.
-                total_time += slowest
-        tel.counter("wafer.sorts").inc()
-        tel.counter("wafer.touchdowns").inc(len(plan))
-        tel.counter("wafer.dies_tested").inc(
-            sum(1 for a in assignments if a.passed is not None))
-        tel.counter("wafer.dies_passed").inc(
-            sum(1 for a in assignments if a.passed))
-        tel.counter("wafer.contact_failures").inc(
-            sum(1 for a in assignments if a.passed is None))
-        return SortRun(assignments=assignments, total_time_s=total_time,
-                       touchdowns=len(plan))
+        try:
+            with tel.span("wafer.sort"):
+                for td_index, touchdown in enumerate(plan):
+                    run.total_time_s += touchdown.index_time_s
+                    # Parallel sites: a touchdown costs its slowest.
+                    run.total_time_s += self._touchdown(
+                        wafer, touchdown, rng, run.assignments,
+                        [int(seed), td_index])
+                    run.touchdowns += 1
+                    yield run, len(plan)
+        finally:
+            tel.counter("wafer.sorts").inc()
+            tel.counter("wafer.touchdowns").inc(run.touchdowns)
+            tel.counter("wafer.dies_tested").inc(run.dies_tested)
+            tel.counter("wafer.dies_passed").inc(run.dies_passed)
+            tel.counter("wafer.contact_failures").inc(run.retest_needed)
 
-    def _touchdown_serial(self, wafer, touchdown, rng,
-                          assignments) -> float:
-        """One touchdown, sites in order on one RNG stream."""
-        slowest = 0.0
-        for site, pos in enumerate(touchdown.sites):
-            if pos is None:
-                continue
-            die = wafer.die_at(*pos)
-            die.state = DieState.TESTING
-            if not self.card.contact_ok(rng):
-                die.state = DieState.SKIPPED
-                assignments.append(SiteAssignment(site, pos, None, 0.0))
-                continue
-            dut = self.dut_factory(pos)
-            passed, t = self._test_one(dut, rng)
-            slowest = max(slowest, t)
-            die.state = DieState.PASSED if passed else DieState.FAILED
-            assignments.append(SiteAssignment(site, pos, passed, t))
-        return slowest
+    def _touchdown(self, wafer, touchdown, rng, assignments,
+                   seed_root) -> float:
+        """One touchdown; returns its slowest site's test time.
 
-    def _touchdown_concurrent(self, wafer, touchdown, rng,
-                              assignments, seed, td_index) -> float:
-        """One touchdown with landed sites run on the executor.
-
-        Contact is still drawn in the parent (it is a prober
-        property, not a site computation); the site tests fan out.
+        Contact is drawn site by site on the sort's *rng* (a prober
+        property, not a site computation). Landed sites are tested
+        on that stream, each right after its contact draw, or fanned
+        out on the executor with seeds spawned from *seed_root*.
         """
-        landed = []
-        for site, pos in enumerate(touchdown.sites):
-            if pos is None:
-                continue
-            die = wafer.die_at(*pos)
-            die.state = DieState.TESTING
-            if not self.card.contact_ok(rng):
-                die.state = DieState.SKIPPED
-                assignments.append(SiteAssignment(site, pos, None, 0.0))
-                continue
-            landed.append((site, pos))
-        if not landed:
-            return 0.0
-        fn = functools.partial(_probe_site, self.dut_factory,
-                               self.test_time_s, 128)
-        outcome = self.executor.run(
-            fn, [pos for _, pos in landed],
-            seed_root=[int(seed), int(td_index)],
-        )
+        def landed():
+            for site, pos in enumerate(touchdown.sites):
+                if pos is None:
+                    continue
+                die = wafer.die_at(*pos)
+                die.state = DieState.TESTING
+                if self.card.contact_ok(rng):
+                    yield site, pos
+                else:
+                    die.state = DieState.SKIPPED
+                    assignments.append(SiteAssignment(site, pos, None,
+                                                      0.0))
+
+        test = functools.partial(_probe_site, self.dut_factory,
+                                 self.test_time_s, 128)
+        if self.executor is None:
+            # Lazy, so the sort's stream draws contact and test site
+            # by site.
+            tested = ((site, pos, test(pos, rng))
+                      for site, pos in landed())
+        else:
+            sites = list(landed())
+            outcomes = self.executor.run(
+                test, [pos for _, pos in sites], seed_root=seed_root,
+            ).results if sites else []
+            tested = ((site, pos, outcome) for (site, pos), outcome
+                      in zip(sites, outcomes))
         slowest = 0.0
-        for (site, pos), (passed, t) in zip(landed, outcome.results):
+        for site, pos, (passed, t) in tested:
             die = wafer.die_at(*pos)
             die.state = DieState.PASSED if passed else DieState.FAILED
             slowest = max(slowest, t)
@@ -260,8 +247,9 @@ class MultiSiteScheduler:
                         0, die.position, None, 0.0
                     ))
                     continue
-                dut = self.dut_factory(die.position)
-                passed, t = self._test_one(dut, rng)
+                passed, t = _probe_site(self.dut_factory,
+                                        self.test_time_s, 128,
+                                        die.position, rng)
                 total_time += t
                 die.state = DieState.PASSED if passed \
                     else DieState.FAILED

@@ -97,7 +97,7 @@ class TestWaferFlow:
             looped = dut.loopback(wf, 5.0)
             bits = mini.receiver.receive_bits(
                 looped, 5.0, 400,
-                t_first_bit=mini._channel_delay(),
+                t_first_bit=mini._probe_path().delay_ps,
                 rng=np.random.default_rng(k),
             )
             expected = mini._expected_serial(400, seed=k + 1,

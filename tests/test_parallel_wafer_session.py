@@ -1,5 +1,7 @@
 """Parallel wafer sort and sharded BER characterization."""
 
+import itertools
+
 import pytest
 
 from repro import telemetry
@@ -79,6 +81,49 @@ class TestConcurrentWaferSort:
         serial_sum = stepping + sum(a.test_time_s
                                     for a in result.assignments)
         assert result.total_time_s < serial_sum
+
+    def test_sort_stopped_early_is_a_prefix(self):
+        """Closing sort_steps early keeps the touchdowns that ran,
+        as the full sort ran them, and counts only those."""
+        sched = MultiSiteScheduler(
+            ProbeCard(n_sites=2, contact_yield=0.8))
+        full = sched.sort_wafer(small_wafer(), seed=4)
+        wafer = small_wafer()
+        with telemetry.use_registry() as reg:
+            steps = sched.sort_steps(wafer, seed=4)
+            for run, total in itertools.islice(steps, 3):
+                pass
+            steps.close()
+        assert (run.touchdowns, total) == (3, full.touchdowns)
+        assert run.assignments == full.assignments[:len(run.assignments)]
+        counters = reg.to_dict()["counters"]
+        assert counters["wafer.sorts"] == 1
+        assert counters["wafer.touchdowns"] == 3
+        assert counters["wafer.dies_tested"] == run.dies_tested
+        assert counters["wafer.contact_failures"] == run.retest_needed
+        assert reg.to_dict()["timers"]["wafer.sort"]["count"] == 1
+        assert sum(d.state == DieState.UNTESTED for d in wafer) \
+            == len(list(wafer)) - len(run.assignments)
+
+    def test_retest_on_executor_equals_serial(self):
+        """Retests stay serial on a scheduler with an executor: the
+        same draws from the same seed give the same retest."""
+        card = ProbeCard(n_sites=4, contact_yield=0.6)
+        serial = MultiSiteScheduler(card, dut_factory=leaky_dut_factory)
+        conc = MultiSiteScheduler(
+            card, dut_factory=leaky_dut_factory,
+            executor=Executor(backend="thread", max_workers=N_WORKERS))
+        wafers = [small_wafer(), small_wafer()]
+        for wafer in wafers:
+            serial.sort_wafer(wafer, seed=2)
+        assert wafers[0].dies_in_state(DieState.SKIPPED)
+        r1 = serial.retest_skipped(wafers[0], seed=5)
+        r2 = conc.retest_skipped(wafers[1], seed=5)
+        assert r2.assignments == r1.assignments
+        assert r2.total_time_s == r1.total_time_s
+        assert r2.touchdowns == r1.touchdowns
+        assert [d.state for d in wafers[1]] \
+            == [d.state for d in wafers[0]]
 
     def test_sort_telemetry(self):
         sched = MultiSiteScheduler(

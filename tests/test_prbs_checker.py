@@ -132,7 +132,7 @@ class TestEndToEnd:
         mini = MiniTester()
         wf = mini.loopback_waveform(2000, seed=1)
         received = mini.receiver.receive_bits(
-            wf, 5.0, 2000, t_first_bit=mini._channel_delay(),
+            wf, 5.0, 2000, t_first_bit=mini._probe_path().delay_ps,
             rng=np.random.default_rng(2),
         )
         checker = SelfSyncChecker(order=7)

@@ -7,7 +7,8 @@ running shmoo, everything completes, and every final result is
 bit-identical to the direct library call with the same parameters.
 Subscribers watch partial results grow monotonically before
 completion, and an aborted job hands back its partials and frees
-the slot.
+the slot. A wafer sort, the floor's long job, meets a deadline and
+yields its slot to a priority job within one touchdown.
 """
 
 import time
@@ -28,6 +29,10 @@ BER_PARAMS = {"total_bits": 2000, "n_shards": 4, "seed": 1,
 EYE_PARAMS = {"n_bits": 800, "rate_gbps": 2.5, "seed": 2,
               "chunk_samples": 1024, "n_time_bins": 24,
               "n_volt_bins": 24}
+
+#: A sort long enough to interrupt: 161 touchdowns of 7-10 ms each.
+WAFER_PARAMS = {"diameter_mm": 150.0, "die_mm": 5.0, "n_sites": 4,
+                "test_time_s": 0.5, "seed": 0}
 
 TERMINAL = ("completed", "failed", "aborted")
 
@@ -85,6 +90,34 @@ def direct_ber():
     return {"total_bits": sum(b for b, _ in pairs),
             "total_errors": sum(e for _, e in pairs),
             "shard_errors": [e for _, e in pairs]}
+
+
+def wafer_and_card():
+    from repro.wafer.map import WaferMap
+    from repro.wafer.probe import ProbeCard
+
+    p = WAFER_PARAMS
+    return (WaferMap(diameter_mm=p["diameter_mm"],
+                     die_width_mm=p["die_mm"], die_height_mm=p["die_mm"]),
+            ProbeCard(n_sites=p["n_sites"]))
+
+
+def direct_wafer():
+    from repro.wafer.inkmap import summarize
+    from repro.wafer.scheduler import MultiSiteScheduler
+
+    p = WAFER_PARAMS
+    wafer, card = wafer_and_card()
+    scheduler = MultiSiteScheduler(card, test_time_s=p["test_time_s"])
+    run = scheduler.sort_wafer(wafer, seed=p["seed"])
+    summary = summarize(wafer)
+    return {"dies_tested": run.dies_tested, "touchdowns": run.touchdowns,
+            "total_time_s": run.total_time_s,
+            "bins": {"total": summary.total, "passed": summary.passed,
+                     "failed": summary.failed,
+                     "skipped": summary.skipped,
+                     "untested": summary.untested},
+            "complete": True}
 
 
 def direct_eye():
@@ -285,3 +318,64 @@ class TestMultiTenantFloor:
         assert counters["nrz.encodes"] == 1
         assert counters["service.jobs_completed"] == 1
         assert client_side.names() == []
+
+
+class TestWaferSortControl:
+    """A wafer sort, the floor's long job, answers control requests
+    within one touchdown."""
+
+    def test_deadline_lands_mid_sort(self):
+        with serve_in_thread(max_slots=1) as handle:
+            with handle.client(timeout_s=60) as cli:
+                job = cli.submit(kind="wafer", params=WAFER_PARAMS,
+                                 deadline_s=0.3)
+                final = wait_terminal(cli, job["job_id"])
+                assert final["state"] == "aborted"
+                assert final["abort_reason"] == "deadline exceeded"
+                partial = cli.result(job_id=job["job_id"])["partial"]
+        assert partial["complete"] is False
+        wafer, card = wafer_and_card()
+        assert 0 < partial["touchdowns"] < len(card.plan_touchdowns(wafer))
+        assert partial["bins"]["untested"] > 0
+
+    def test_priority_job_preempts_within_one_touchdown(self):
+        with serve_in_thread(max_slots=1) as handle:
+            with handle.client(timeout_s=60) as cli:
+                # Room for every event of the sort: none is dropped.
+                cli.subscribe("job.*", maxsize=4096)
+                wafer = cli.submit(kind="wafer", params=WAFER_PARAMS)
+                wid = wafer["job_id"]
+                # Preempt once the sort is under way.
+                events = wait_for_event(cli, f"job.{wid}.progress")
+                ber = cli.submit(kind="ber",
+                                 params={"total_bits": 400,
+                                         "n_shards": 2},
+                                 priority=5)
+                bid = ber["job_id"]
+                assert wait_terminal(cli, bid)["state"] == "completed"
+                assert wait_terminal(cli, wid)["state"] == "completed"
+                events += wait_for_event(
+                    cli, f"job.{wid}.state",
+                    where=lambda data: data["state"] in TERMINAL)
+                got = cli.result(job_id=wid)["result"]
+
+        # Each event as (job, what): a state name, or "tick".
+        seq = [(e["event"].split(".")[1],
+                e["data"]["state"] if e["event"].endswith(".state")
+                else "tick")
+               for e in events if not e["event"].endswith(".partial")]
+        w, b = str(wid), str(bid)
+        pausing = seq.index((w, "pausing"))
+        paused = seq.index((w, "paused"))
+        # The pause lands within one touchdown of the request: at most
+        # the touchdown in flight, and one whose tick was still
+        # queued behind the request, finish first.
+        assert seq[pausing:paused].count((w, "tick")) <= 2
+        # The BER job takes the slot at once and finishes before the
+        # sort goes on.
+        between = seq[paused:seq.index((w, "running"), paused)]
+        assert (b, "running") in between
+        assert (b, "completed") in between
+        assert (w, "tick") not in between
+        # The resumed sort returns the uninterrupted payload.
+        assert got == direct_wafer()

@@ -3,15 +3,23 @@
 A :class:`JobContext` on a stub loop and hub records every event a
 job publishes and every checkpoint it polls, so these tests pin how
 often each builtin publishes: the eye job checkpoints every chunk
-(32 K samples by default) but publishes at display rate, and the
-shmoo job publishes one partial per cell.
+(32 K samples by default) but publishes at display rate, the shmoo
+job publishes one partial per cell, and the wafer job checkpoints
+and ticks once per touchdown.
 """
+
+import contextlib
+import itertools
 
 import numpy as np
 import pytest
 
 import repro.service.runner as runner_mod
 from repro.service import Job, JobContext, JobRunner
+from repro.wafer.inkmap import summarize
+from repro.wafer.map import WaferMap
+from repro.wafer.probe import ProbeCard
+from repro.wafer.scheduler import MultiSiteScheduler, SortRun
 
 
 class _InlineLoop:
@@ -155,3 +163,61 @@ def test_ber_job_one_partial_per_shard(n_shards):
     bits = [p["bits"] for p in ctx.published("partial")]
     assert len(bits) == n_shards
     assert bits[-1] == out["total_bits"] == 300
+
+
+def _direct_sort(n_touchdowns=None):
+    """The job's default sort, called directly: all of it, or only its
+    first *n_touchdowns*. Returns the payload fields it should equal."""
+    wafer = WaferMap(diameter_mm=100.0, die_width_mm=10.0,
+                     die_height_mm=10.0)
+    scheduler = MultiSiteScheduler(ProbeCard(n_sites=4), test_time_s=0.5)
+    if n_touchdowns is None:
+        run = scheduler.sort_wafer(wafer, seed=0)
+    else:
+        run = SortRun([], 0.0, 0)
+        with contextlib.closing(scheduler.sort_steps(wafer, 0)) as steps:
+            for run, _ in itertools.islice(steps, n_touchdowns):
+                pass
+    summary = summarize(wafer)
+    return {"dies_tested": run.dies_tested, "touchdowns": run.touchdowns,
+            "total_time_s": run.total_time_s,
+            "bins": {"total": summary.total, "passed": summary.passed,
+                     "failed": summary.failed,
+                     "skipped": summary.skipped,
+                     "untested": summary.untested}}
+
+
+class TestWaferJob:
+    """The wafer job steps the library's sort, one touchdown per
+    checkpoint."""
+
+    #: Touchdowns of the default sort: a 100 mm wafer of 10 mm dies
+    #: under a 4-site card.
+    TOUCHDOWNS = 17
+
+    def test_payload_equals_direct_sort(self):
+        _, out = _run("wafer", {})
+        want = _direct_sort()
+        assert out["complete"] is True
+        assert out["touchdowns"] == want["touchdowns"] == self.TOUCHDOWNS
+        for key in ("dies_tested", "total_time_s", "bins"):
+            assert out[key] == want[key], key
+
+    def test_checkpoint_and_tick_per_touchdown(self):
+        ctx, out = _run("wafer", {})
+        assert out["complete"]
+        assert ctx.checks == self.TOUCHDOWNS
+        assert ctx.published("progress") == [
+            {"done": k, "total": self.TOUCHDOWNS}
+            for k in range(1, self.TOUCHDOWNS + 1)]
+
+    @pytest.mark.parametrize("k", [0, 1, 9])
+    def test_abort_after_k_touchdowns(self, k):
+        ctx, out = _run("wafer", {}, abort_after=k)
+        assert out["complete"] is False
+        assert out["touchdowns"] == k
+        assert ctx.checks == k + 1  # the (k+1)-th checkpoint aborts
+        want = _direct_sort(k)
+        for key in ("dies_tested", "total_time_s", "bins"):
+            assert out[key] == want[key], key
+        assert out["bins"]["untested"] > 0

@@ -626,22 +626,27 @@ priority, at most `max_slots` jobs on worker threads
 higher-priority job arrives, the lowest-priority running job is
 *preempted cooperatively*: its worker thread parks at the next
 `should_abort` checkpoint (the same hook the measurement stack
-already polls between cells/shards/chunks), the slot frees on the
-pause acknowledgement, and the job auto-resumes — bit-identically
-— when a slot opens. Clients can also `pause`/`resume`/`abort`
-explicitly; an aborted job returns its partial results. Per-job
-`deadline_s` is wall-clock from start; overruns abort with
-partials.
+already polls between cells/shards/touchdowns/chunks), the slot
+frees on the pause acknowledgement, and the job auto-resumes —
+bit-identically — when a slot opens. Clients can also
+`pause`/`resume`/`abort` explicitly; an aborted job returns its
+partial results. Per-job `deadline_s` is wall-clock from start;
+overruns abort with partials.
 
-**Builtin job kinds** (`JobRunner.register` adds more): `shmoo`
-(cells via `repro.host.shmoo.strobe_rate_test`, one partial per
-cell), `ber` (the exact `ShardPlan.for_range` + `spawn_seeds`
-recipe of `TestSession.characterize_ber`, cumulative tallies per
-shard), `eye` (chunked `EyeAccumulator` fold), and `wafer`
-(multi-site sort summary). A job's checkpoints and its events are
-separate choices: every event is a hand-off through the event loop,
-the wire and each subscribed client, so the `eye` job keeps a
-checkpoint per 32 K-sample chunk
+**Builtin job kinds** (`JobRunner.register` adds more), each an
+adapter over the library's own body: `shmoo` (cells via
+`repro.host.shmoo.strobe_rate_test`, one partial per cell), `ber`
+(steps `repro.host.session.ber_steps`, the shard loop of the serial
+`TestSession.characterize_ber`: a checkpoint before each shard,
+cumulative tallies after it), `eye` (chunked `EyeAccumulator`
+fold), and `wafer` (steps `MultiSiteScheduler.sort_steps`, the
+touchdown loop of `sort_wafer`: a checkpoint before each touchdown
+and a progress tick after it, so a pause, an abort or a deadline
+lands within one touchdown, 7-10 ms; the summary of a sort cut short
+says `complete: false` and counts the touchdowns that ran). A job's
+checkpoints and its events are separate choices: every event is a
+hand-off through the event loop, the wire and each subscribed
+client, so the `eye` job keeps a checkpoint per 32 K-sample chunk
 (`repro.service.runner.EYE_CHUNK_SAMPLES`; pause and abort land
 within one chunk, about 2 ms beside a busy shmoo) but publishes its
 grid-free `snapshot()` partial and progress tick at most every 5 ms
