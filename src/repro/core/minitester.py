@@ -233,10 +233,8 @@ class MiniTester(TestSystem):
         data is simply the LFSR output.
         """
         factor = self.serialization_factor()
-        self.dlc.host_write(0x0C, seed)
-        self.dlc.reset_lfsrs()
         n_words = int(np.ceil(n_bits / factor))
-        return self.dlc.lfsr().bits(n_words * factor)[:n_bits]
+        return self._lfsr_stream(seed, n_words * factor)[:n_bits]
 
     def digitize_loopback(self, pattern_len: int = 8, seed: int = 1,
                           rate_gbps: Optional[float] = None,
@@ -251,10 +249,7 @@ class MiniTester(TestSystem):
         rate = self.rate_gbps if rate_gbps is None else rate_gbps
         # A repeating pattern: the LFSR stream's first pattern_len
         # bits, tiled.
-        self.dlc.host_write(0x0C, seed)
-        self.dlc.reset_lfsrs()
-        unit = self.dlc.lfsr().bits(pattern_len)
-        bits = np.tile(unit, n_reps + 2)
+        bits = np.tile(self._lfsr_stream(seed, pattern_len), n_reps + 2)
         wf = self.transmitter.transmit_serial(
             bits, rate, rng=np.random.default_rng(seed)
         )

@@ -110,6 +110,13 @@ class TestSystem:
         """Lanes consumed per serial bit stream (subclass knows)."""
         raise NotImplementedError
 
+    def _lfsr_stream(self, seed: int, n_bits: int) -> np.ndarray:
+        """The fabric LFSR's first *n_bits* serial bits from *seed*,
+        restarted from the DLC's registers."""
+        self.dlc.host_write(0x0C, seed)  # LFSR_SEED
+        self.dlc.reset_lfsrs()
+        return self.dlc.lfsr().bits(n_bits)
+
     def prbs_waveform(self, n_bits: int, seed: int = 1,
                       rate_gbps: Optional[float] = None,
                       dt: float = 1.0) -> Waveform:
@@ -124,10 +131,8 @@ class TestSystem:
         tel = telemetry.active()
         with tel.span("system.prbs_waveform"):
             factor = self.serialization_factor()
-            self.dlc.host_write(0x0C, seed)  # LFSR_SEED
-            self.dlc.reset_lfsrs()
             n_words = int(np.ceil(n_bits / factor))
-            serial = self.dlc.lfsr().bits(n_words * factor)
+            serial = self._lfsr_stream(seed, n_words * factor)
             lanes = self.transmitter.serializer.lanes_for_stream(serial)
             lane_rate = \
                 self.transmitter.serializer.required_lane_rate_mbps(rate)

@@ -478,8 +478,8 @@ class Executor:
             seed_root=None,
             progress: Optional[Callable[[int, int, Tuple[int, ...]],
                                         None]] = None,
-            should_abort: Optional[Callable[[], bool]] = None,
-            collect_telemetry: Optional[bool] = None) -> ExecutionResult:
+            should_abort: Optional[Callable[[], bool]] = None
+            ) -> ExecutionResult:
         """Run ``fn(item, seed)`` over every item; results in order.
 
         Parameters
@@ -508,14 +508,13 @@ class Executor:
             Polled between chunks; returning True stops dispatch,
             cancels what it can, and yields partial results with
             ``aborted=True``.
-        collect_telemetry:
-            Force worker-side telemetry collection on/off; default
-            collects exactly when the caller's active registry is
-            enabled and the backend is ``"process"`` or
-            ``"remote"``, whose workers' snapshots merge into that
-            registry. Serial chunks run in the caller's context and
-            thread chunks in a copy of it, so they record into the
-            caller's registry directly.
+
+        Worker-side telemetry is collected exactly when the caller's
+        active registry is enabled and the backend is ``"process"``
+        or ``"remote"``, whose workers' snapshots merge into that
+        registry. Serial chunks run in the caller's context and
+        thread chunks in a copy of it, so they record into the
+        caller's registry directly.
         """
         items = list(items)
         if not items:
@@ -529,8 +528,7 @@ class Executor:
             progress = guard.progress if progress is not None else None
             should_abort = guard.should_abort
         shipped = self.backend in ("process", "remote")
-        if collect_telemetry is None:
-            collect_telemetry = bool(tel.enabled) and shipped
+        collect_telemetry = bool(tel.enabled) and shipped
         seeds: List[Optional[int]]
         if seed_root is not None:
             seeds = list(spawn_seeds(len(items), root=seed_root))

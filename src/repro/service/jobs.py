@@ -123,17 +123,16 @@ class Job:
     # -- worker-side checkpoint (called from the worker thread) ----------
 
     def checkpoint(self,
-                   on_paused: Optional[Callable[[], None]] = None,
-                   on_resumed: Optional[Callable[[], None]] = None
+                   on_paused: Optional[Callable[[], None]] = None
                    ) -> bool:
         """The worker's ``should_abort`` body.
 
         Returns True to stop the measurement. A pending pause
         request parks the calling thread here: *on_paused* fires
         (threadsafe scheduler hand-off — this is what frees the
-        slot), the thread waits on the condition, and on release
-        *on_resumed* fires before returning False so the
-        measurement continues exactly where it left off.
+        slot), and the thread waits on the condition. A resume
+        releases it with False, so the measurement continues exactly
+        where it left off; an abort releases it with True.
         """
         with self._cond:
             if self._abort_requested:
@@ -144,11 +143,7 @@ class Job:
                 on_paused()
             while self._pause_requested and not self._abort_requested:
                 self._cond.wait()
-            if self._abort_requested:
-                return True
-        if on_resumed is not None:
-            on_resumed()
-        return False
+            return self._abort_requested
 
     # -- wire form -------------------------------------------------------
 
@@ -200,19 +195,16 @@ class JobContext:
     """
 
     def __init__(self, job: Job, loop, hub,
-                 on_paused: Optional[Callable[[], None]] = None,
-                 on_resumed: Optional[Callable[[], None]] = None):
+                 on_paused: Optional[Callable[[], None]] = None):
         self.job = job
         self._loop = loop
         self._hub = hub
         self._on_paused = on_paused
-        self._on_resumed = on_resumed
 
     def should_abort(self) -> bool:
         """Cooperative checkpoint; pass as the measurement's
         ``should_abort`` hook."""
-        return self.job.checkpoint(on_paused=self._on_paused,
-                                   on_resumed=self._on_resumed)
+        return self.job.checkpoint(on_paused=self._on_paused)
 
     def emit(self, channel: str, data) -> None:
         """Publish *data* on ``job.<id>.<channel>`` (threadsafe)."""

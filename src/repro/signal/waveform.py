@@ -420,16 +420,6 @@ class WaveformBatch:
             out.append(token)
         return out
 
-    def set_cache_tokens(self, tokens) -> "WaveformBatch":
-        """Attach per-row provenance *tokens*; returns self."""
-        tokens = [None if t is None else str(t) for t in tokens]
-        if len(tokens) != self.n_channels:
-            raise ConfigurationError(
-                f"{len(tokens)} tokens for {self.n_channels} channels"
-            )
-        self._tokens = tokens
-        return self
-
     # -- arithmetic --------------------------------------------------------
 
     def scaled(self, gain: float, offset: float = 0.0) -> "WaveformBatch":

@@ -8,7 +8,8 @@ bit-identical to the direct library call with the same parameters.
 Subscribers watch partial results grow monotonically before
 completion, and an aborted job hands back its partials and frees
 the slot. A wafer sort, the floor's long job, meets a deadline and
-yields its slot to a priority job within one touchdown.
+yields its slot to a priority job mid-sort; that a pause parks within
+one touchdown is pinned in ``tests/test_service_runner.py``.
 """
 
 import time
@@ -367,10 +368,11 @@ class TestWaferSortControl:
         w, b = str(wid), str(bid)
         pausing = seq.index((w, "pausing"))
         paused = seq.index((w, "paused"))
-        # The pause lands within one touchdown of the request: at most
-        # the touchdown in flight, and one whose tick was still
-        # queued behind the request, finish first.
-        assert seq[pausing:paused].count((w, "tick")) <= 2
+        assert pausing < paused
+        # How many touchdowns finish between the request and the park
+        # is pinned in tests/test_service_runner.py: here, ticks of
+        # touchdowns done before the request can still be queued on a
+        # busy event loop when ``pausing`` is published.
         # The BER job takes the slot at once and finishes before the
         # sort goes on.
         between = seq[paused:seq.index((w, "running"), paused)]

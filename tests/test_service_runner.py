@@ -10,6 +10,7 @@ and ticks once per touchdown.
 
 import contextlib
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -38,28 +39,49 @@ class _Hub:
 
 
 class RecordingContext(JobContext):
-    """Counts checkpoints; requests an abort after *abort_after*."""
+    """Counts checkpoints; requests an abort after *abort_after*
+    checkpoints, or a pause after *pause_after*. A paused job records
+    where it parked and is resumed from another thread."""
 
-    def __init__(self, kind, params, abort_after=None):
+    def __init__(self, kind, params, abort_after=None, pause_after=None):
         self.hub = _Hub()
-        super().__init__(Job(1, kind, params), _InlineLoop(), self.hub)
+        super().__init__(Job(1, kind, params), _InlineLoop(), self.hub,
+                         on_paused=self._parked)
         self.checks = 0
         self.abort_after = abort_after
+        self.pause_after = pause_after
+        #: (checkpoint, progress ticks published) at each park.
+        self.parks = []
+        self.resumers = []
 
     def should_abort(self):
         self.checks += 1
         if self.abort_after is not None and self.checks > self.abort_after:
             self.job.request_abort()
+        if self.pause_after is not None \
+                and self.checks == self.pause_after + 1:
+            self.job.request_pause()
         return super().should_abort()
+
+    def _parked(self):
+        # Runs with the job's condition held: the resume goes through
+        # only once the worker waits on it.
+        self.parks.append((self.checks, len(self.published("progress"))))
+        resumer = threading.Thread(target=self.job.request_resume)
+        resumer.start()
+        self.resumers.append(resumer)
 
     def published(self, channel):
         return [d for t, d in self.hub.events
                 if t == f"job.1.{channel}"]
 
 
-def _run(kind, params, abort_after=None):
-    ctx = RecordingContext(kind, params, abort_after)
-    return ctx, JobRunner().run(ctx.job, ctx)
+def _run(kind, params, abort_after=None, pause_after=None):
+    ctx = RecordingContext(kind, params, abort_after, pause_after)
+    out = JobRunner().run(ctx.job, ctx)
+    for resumer in ctx.resumers:
+        resumer.join()
+    return ctx, out
 
 
 #: The eye job's record at its defaults: 1200 bits at 2.5 Gbps.
@@ -221,3 +243,16 @@ class TestWaferJob:
         for key in ("dies_tested", "total_time_s", "bins"):
             assert out[key] == want[key], key
         assert out["bins"]["untested"] > 0
+
+    @pytest.mark.parametrize("k", [0, 1, 9])
+    def test_pause_after_k_touchdowns_parks_then_resumes(self, k):
+        ctx, out = _run("wafer", {}, pause_after=k)
+        # Parked once, at the checkpoint right after touchdown k.
+        assert ctx.parks == [(k + 1, k)]
+        assert ctx.checks == self.TOUCHDOWNS
+        # Resumed, it returns the uninterrupted payload.
+        assert out == _run("wafer", {})[1]
+        assert out["complete"] is True
+        assert ctx.published("progress") == [
+            {"done": j, "total": self.TOUCHDOWNS}
+            for j in range(1, self.TOUCHDOWNS + 1)]

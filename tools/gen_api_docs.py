@@ -82,12 +82,12 @@ associatively (`a.merge(b)`) for aggregating parallel runs.
 PERFORMANCE = """\
 ## Performance & Kernel Contracts
 
-The hot simulation kernels are vectorized array code behind
-`repro.signal._kernels` and `repro.vortex._soa`; the public models
-(`NRZEncoder`, `prbs_bits`, `DataVortexFabric`, the bathtub curves)
-keep their APIs and delegate. Each kernel carries an explicit
-equivalence contract against its scalar reference, enforced by
-`tests/test_kernels_equivalence.py`:
+The hot signal kernels are vectorized array code behind
+`repro.signal._kernels`; the public models (`NRZEncoder`,
+`prbs_bits`, the bathtub curves) keep their APIs and delegate. Each
+kernel, and the Data Vortex fabric's routing pass, carries an
+explicit equivalence contract against its scalar reference, enforced
+by `tests/test_kernels_equivalence.py`:
 
 - **NRZ rendering** (`_kernels.render_nrz_batch`): O(samples +
   edges x window) over a whole `(channels, samples)` block — a step
@@ -167,14 +167,14 @@ equivalence contract against its scalar reference, enforced by
   against the scalar Fibonacci LFSR (kept public as
   `prbs_bits_scalar`) and composable with `advance_state` /
   `prbs_shard_states` stream tiling.
-- **Vortex fabric stepping**: struct-of-arrays node state with an
-  adaptive step — a scalar pass over occupied slots below
-  `DataVortexFabric.vector_threshold` resident packets, vectorized
-  per-cylinder array routing above it (counted by
-  `vortex.vectorized_steps`). Both paths produce identical
+- **Vortex fabric stepping**: one routing pass per step over the
+  occupied node slots, innermost cylinder first, on link tables
+  built once per geometry from `VortexTopology`'s link functions. A
+  resident packet's one record is the `VortexPacket` itself, which
+  counts its own hops and deflections. The pass produces the same
   decisions, packet journeys, delivery order, and statistics as the
-  original dict-of-nodes scan; `fabric.nodes` remains a live
-  per-node view over the arrays.
+  original dict-of-nodes scan, on quiet and busy fabrics alike;
+  `fabric.nodes` remains a live per-node view of the slots.
 - **Bathtub curves**: vectorized erfc within
   `BATHTUB_EQUIVALENCE_RTOL` (1e-12, absolute floor 1e-30 for the
   denormal deep tail); `empirical_bathtub` is bit-exact via sorted
