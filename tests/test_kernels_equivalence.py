@@ -35,8 +35,8 @@ reproduces the pre-vectorization implementation:
   (``numpy``).
 - Vortex fabric stepping: ``_ReferenceFabric`` (the dict-of-nodes
   scan) versus the fabric's one routing pass, on quiet and busy
-  fabrics — identical decisions, deliveries, ordering, and
-  statistics.
+  fabrics and under the four standard traffic patterns — identical
+  decisions, deliveries, ordering, and statistics.
 - Bathtub curves: per-point ``math.erfc`` evaluation versus the
   vectorized curve (``BATHTUB_EQUIVALENCE_RTOL`` with the documented
   denormal floor); the empirical bathtub is bit-exact.
@@ -74,6 +74,12 @@ from repro.vortex.node import RoutingDecision, RoutingNode
 from repro.vortex.routing import at_destination, wants_descent
 from repro.vortex.stats import FabricStats
 from repro.vortex.topology import NodeAddress, VortexTopology
+from repro.vortex.traffic import (
+    BurstyTraffic,
+    HotspotTraffic,
+    PermutationTraffic,
+    UniformTraffic,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -987,21 +993,24 @@ class TestBatchKernelEquivalence:
 # ---------------------------------------------------------------------------
 
 
-def _drive(fab, seed, n_cycles, n_heights, submit_prob, attempts=1):
+def _drive(fab, seed, n_cycles, n_heights, submit_prob, attempts=1,
+           pattern=None):
     """Drive *fab* with a deterministic workload: 12 packets up front,
     then *attempts* submissions a cycle, each with probability
-    *submit_prob*. Returns the journal, deliveries and statistics."""
+    *submit_prob*, addressed by *pattern* (uniform by default).
+    Returns the journal, deliveries and statistics."""
     rng = np.random.default_rng(seed)
+    pattern = pattern or UniformTraffic()
     journal = []
     for _ in range(12):
-        fab.submit(int(rng.integers(0, n_heights)))
+        fab.submit(pattern.destination(rng, n_heights))
     for _ in range(n_cycles):
         decisions = fab.step()
         journal.append(sorted((pid, d.name)
                               for pid, d in decisions.items()))
         for _ in range(attempts):
             if rng.random() < submit_prob:
-                fab.submit(int(rng.integers(0, n_heights)))
+                fab.submit(pattern.destination(rng, n_heights))
     deliveries = {
         h: [(p.packet_id, p.hops, p.deflections, p.injected_cycle)
             for p in q]
@@ -1038,6 +1047,28 @@ class TestFabricEquivalence:
                 f"stats diverged (seed {seed})"
             # Each step decides once per resident packet.
             assert max(map(len, got_out[0])) >= min_peak
+
+    @pytest.mark.parametrize("pattern", [
+        "uniform", "hotspot", "permutation", "bursty"])
+    def test_matches_reference_under_traffic(self, pattern):
+        """The four standard traffic patterns, one attempt per angle
+        a cycle at 0.9 offered load: hotspot and bursty traffic pile
+        packets onto one output, the contention that deflects most."""
+        make = {
+            "uniform": UniformTraffic,
+            "hotspot": lambda: HotspotTraffic(hot_fraction=0.5),
+            "permutation": lambda: PermutationTraffic(seed=7),
+            "bursty": lambda: BurstyTraffic(burst_length=8),
+        }[pattern]
+        config = FabricConfig(n_angles=4, n_heights=8)
+        ref_out = _drive(_ReferenceFabric(config), 5, 150, 8, 0.9,
+                         attempts=4, pattern=make())
+        got_out = _drive(DataVortexFabric(config), 5, 150, 8, 0.9,
+                         attempts=4, pattern=make())
+        assert got_out[0] == ref_out[0], "decision journal diverged"
+        assert got_out[1] == ref_out[1], "deliveries diverged"
+        assert got_out[2] == ref_out[2], "stats diverged"
+        assert got_out[2]["deflections"] > 0
 
     def test_node_view_round_trip(self):
         """The live nodes view reads and writes the fabric's state."""

@@ -7,7 +7,8 @@ from repro.errors import ConfigurationError, FabricError
 from repro.vortex.fabric import DataVortexFabric, FabricConfig
 from repro.vortex.node import RoutingDecision, RoutingNode
 from repro.vortex.packet import VortexPacket
-from repro.vortex.topology import NodeAddress
+from repro.vortex.routing import at_destination, wants_descent
+from repro.vortex.topology import NodeAddress, VortexTopology
 
 
 def _fabric(angles=3, heights=8):
@@ -25,6 +26,41 @@ class TestNode:
     def test_release_empty(self):
         with pytest.raises(FabricError):
             RoutingNode(NodeAddress(0, 0, 0)).release()
+
+
+
+class TestLinks:
+    @pytest.mark.parametrize("angles,heights",
+                             [(1, 1), (3, 4), (5, 8), (2, 16)])
+    def test_lone_hop_follows_topology(self, angles, heights):
+        """From every node toward every destination, a lone packet's
+        hop takes the link the topology defines: ejection at its
+        height on the innermost cylinder, the ingression link when its
+        routing bit matches, the same-cylinder link otherwise."""
+        topo = VortexTopology(angles, heights)
+        for addr in topo.nodes():
+            for dest in range(heights):
+                fab = _fabric(angles, heights)
+                pkt = VortexPacket(0, dest)
+                fab.nodes[addr].accept(pkt)
+                decision = fab.step()[pkt.packet_id]
+                assert pkt.hops == 1
+                if at_destination(topo, addr, dest):
+                    assert decision is RoutingDecision.EJECT
+                    assert fab.delivered() == [pkt]
+                    assert fab.packets_in_flight == 0
+                    continue
+                if wants_descent(topo, addr, dest):
+                    expected = (RoutingDecision.DESCEND,
+                                topo.descend_next(addr))
+                else:
+                    expected = (RoutingDecision.CIRCLE,
+                                topo.same_cylinder_next(addr))
+                landed = [a for a, node in fab.nodes.items()
+                          if node.occupied]
+                assert (decision, landed) == (expected[0],
+                                              [expected[1]]), addr
+                assert fab.nodes[expected[1]].packet is pkt
 
 
 class TestDelivery:
