@@ -22,6 +22,14 @@ the scope's cache through :func:`active`::
         bits = prbs_bits(7, 4000)              # hit
         runner.run(rates, swings)              # warm across cells
 
+A signal stage has one cached route, its single-row call
+(``NRZEncoder.encode``, ``LTIChannel.apply``,
+``EyeDiagram.from_waveform``): a single-flight
+:meth:`ArtifactCache.get_or_compute` around a one-row call of the
+stage's batch form. The batch forms (``encode_batch``,
+``apply_batch``, ``from_batch``) always compute, also inside a
+scope.
+
 :func:`enable` and :func:`disable` set the process-wide default
 cache. :func:`use_cache` opens a scope that is local to the current
 :mod:`contextvars` context, so two sweeps on two threads each see
@@ -63,7 +71,7 @@ from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.cache.artifact import ArtifactCache, NullCache
 from repro.cache.keys import DIGEST_SIZE, array_digest, canonical_digest
@@ -73,7 +81,6 @@ __all__ = [
     "ArtifactCache", "NullCache", "NULL_CACHE", "RemoteCacheTier",
     "canonical_digest", "array_digest", "DIGEST_SIZE",
     "active", "enable", "disable", "enabled", "use_cache",
-    "get_or_compute_rows",
 ]
 
 #: The shared disabled-path cache; `active()` returns it whenever
@@ -96,29 +103,6 @@ def active() -> Union[ArtifactCache, NullCache]:
     installed, or the shared :data:`NULL_CACHE` when disabled.
     """
     return _scope.get(_default)
-
-
-def get_or_compute_rows(store, keys: Sequence[str],
-                        compute: Callable[[List[int]], Sequence[Any]]
-                        ) -> List[Any]:
-    """Per-row values for a batched stage, computing only the misses.
-
-    Row *i* is looked up under ``keys[i]`` (the scalar entry point's
-    key for that row, so the two paths share entries). The missing
-    row indices go to *compute* in one call, which returns their
-    values in the same order as a sub-batch; each is stored under
-    its own key. Returns every row's value, hits and fresh alike.
-    """
-    values = []
-    for key in keys:
-        hit, value = store.get(key)
-        values.append(value if hit else None)
-    missing = [i for i, value in enumerate(values) if value is None]
-    if missing:
-        for i, value in zip(missing, compute(missing)):
-            store.put(keys[i], value)
-            values[i] = value
-    return values
 
 
 def enable(cache: Optional[ArtifactCache] = None) -> ArtifactCache:

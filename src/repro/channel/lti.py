@@ -9,9 +9,6 @@ emerges naturally when the bandwidth approaches the data rate.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.signal.waveform import Waveform, WaveformBatch
@@ -73,17 +70,17 @@ class LTIChannel:
         running midpoint). The result is row 0 of a one-row
         :meth:`apply_batch` pass.
 
-        Convolutions are memoized in the active artifact cache
-        (:func:`repro.cache.active`) keyed ``(channel config, input
-        waveform token)``: the input token is its producing stage's
-        provenance when attached, else a content digest. Hits are
-        the stored waveform itself, not a copy, and must be treated
-        as immutable.
+        This is the stage's cached route: convolutions are memoized
+        in the active artifact cache (:func:`repro.cache.active`)
+        keyed ``(channel config, input waveform token)``: the input
+        token is its producing stage's provenance when attached,
+        else a content digest. Hits are the stored waveform itself,
+        not a copy, and must be treated as immutable.
         """
         from repro import cache as _cache
 
         def filtered():
-            return self._apply_batch_impl(WaveformBatch(
+            return self.apply_batch(WaveformBatch(
                 waveform.values[None], dt=waveform.dt, t0=waveform.t0,
             )).row(0)
 
@@ -107,33 +104,10 @@ class LTIChannel:
         that row (``sosfilt`` over a 2-D block applies the
         identical recurrence per row).
 
-        Caching composes per row with single-channel keys: rows are
-        keyed ``("lti.apply", channel config, row token)`` exactly
-        like :meth:`apply`, hits are reused, and only missing rows
-        are filtered (as a sub-batch) and stored individually.
+        A batch call always filters: it never consults the artifact
+        cache, even inside a ``use_cache`` scope. :meth:`apply` is
+        the cached route.
         """
-        from repro import cache as _cache
-
-        store = _cache.active()
-        if not store.enabled or not batch.n_channels:
-            return self._apply_batch_impl(batch)
-
-        keys = [
-            _cache.canonical_digest("lti.apply", self.cache_key(), tok)
-            for tok in batch.cache_tokens()
-        ]
-
-        def filtered(missing):
-            sub = self._apply_batch_impl(WaveformBatch(
-                batch.values[missing], dt=batch.dt, t0=batch.t0))
-            return [Waveform(row.copy(), dt=sub.dt, t0=sub.t0)
-                    for row in sub.values]
-
-        rows = _cache.get_or_compute_rows(store, keys, filtered)
-        return WaveformBatch(np.stack([wf.values for wf in rows]),
-                             dt=rows[0].dt, t0=rows[0].t0, tokens=keys)
-
-    def _apply_batch_impl(self, batch: WaveformBatch) -> WaveformBatch:
         dt_s = batch.dt * 1e-12
         f_nyquist = 0.5 / dt_s
         f_cut = self.bandwidth_ghz * 1e9

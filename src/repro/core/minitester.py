@@ -21,7 +21,6 @@ from repro.channel.interposer import InterposerChannel
 from repro.dlc.io import SILICON_MAX_MBPS
 from repro.channel.lti import LTIChannel
 from repro.core.system import TestSystem
-from repro.instruments.bert import BitErrorRateTester
 from repro.pecl.buffer import MINI_IO_BUFFER, BufferSpec
 from repro.pecl.receiver import PECLReceiver, BERResult
 from repro.pecl.serializer import TwoStageSerializer
@@ -121,7 +120,6 @@ class MiniTester(TestSystem):
                                      encoding=codec)
         self.channel = channel if channel is not None else \
             InterposerChannel()
-        self.bert = BitErrorRateTester()
 
     def serialization_factor(self) -> int:
         return self.transmitter.serializer.total_lanes

@@ -124,11 +124,11 @@ class EyeDiagram:
         :meth:`samples_near_phase` reads only the phases near its
         window (one period of them when the fold tiles).
 
-        Folds are memoized in the active artifact cache
-        (:func:`repro.cache.active`) keyed ``(waveform token, rate,
-        threshold, origin, discard)``; hits return the stored diagram
-        itself, which, like every :class:`EyeDiagram`, must be
-        treated as immutable.
+        This is the stage's cached route: folds are memoized in the
+        active artifact cache (:func:`repro.cache.active`) keyed
+        ``(waveform token, rate, threshold, origin, discard)``; hits
+        return the stored diagram itself, which, like every
+        :class:`EyeDiagram`, must be treated as immutable.
 
         Parameters
         ----------
@@ -149,11 +149,10 @@ class EyeDiagram:
         from repro import cache as _cache
 
         def fold():
-            return cls._fold_batch_impl(
+            return cls.from_batch(
                 WaveformBatch(waveform.values[None], dt=waveform.dt,
                               t0=waveform.t0),
-                rate_gbps, threshold, t_first_bit, discard_ui,
-                False)[0]
+                rate_gbps, threshold, t_first_bit, discard_ui)[0]
 
         store = _cache.active()
         if store.enabled:
@@ -177,8 +176,9 @@ class EyeDiagram:
         indices and phase fold are computed once);
         :meth:`from_waveform` is the one-row case.
 
-        Per-channel folds are memoized per row under the *same* keys
-        as the single-channel path; merged folds are not cached.
+        A batch call always folds: it never consults the artifact
+        cache, even inside a ``use_cache`` scope.
+        :meth:`from_waveform` is the cached route.
 
         Parameters
         ----------
@@ -194,40 +194,6 @@ class EyeDiagram:
         threshold, t_first_bit, discard_ui:
             As for :meth:`from_waveform`.
         """
-        from repro import cache as _cache
-
-        store = _cache.active()
-        if merge or not store.enabled or not batch.n_channels:
-            return cls._fold_batch_impl(batch, rate_gbps, threshold,
-                                        t_first_bit, discard_ui,
-                                        merge)
-        keys = [
-            _cache.canonical_digest(
-                "eye.fold", tok, float(rate_gbps), threshold,
-                float(t_first_bit), int(discard_ui),
-            )
-            for tok in batch.cache_tokens()
-        ]
-
-        def fold(missing):
-            sub = WaveformBatch(batch.values[missing], dt=batch.dt,
-                                t0=batch.t0)
-            eyes = cls._fold_batch_impl(sub, rate_gbps, threshold,
-                                        t_first_bit, discard_ui,
-                                        False)
-            # Own the voltages: a view would keep the sub-batch alive.
-            return [cls._on_grid(eye._grid, eye.voltages.copy(),
-                                 eye.unit_interval, eye.crossing_phases,
-                                 eye.threshold)
-                    for eye in eyes]
-
-        return _cache.get_or_compute_rows(store, keys, fold)
-
-    @classmethod
-    def _fold_batch_impl(cls, batch: WaveformBatch, rate_gbps: float,
-                         threshold: Optional[float],
-                         t_first_bit: float, discard_ui: int,
-                         merge: bool):
         from repro.eye._binning import fold_phases
 
         tel = telemetry.active()

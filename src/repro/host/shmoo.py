@@ -78,12 +78,6 @@ class ShmooResult:
         return not self.complete
 
     @property
-    def evaluated_mask(self) -> np.ndarray:
-        """Boolean grid of evaluated cells (synonym for
-        :attr:`evaluated`, kept for existing consumers)."""
-        return self.evaluated
-
-    @property
     def pass_fraction(self) -> float:
         """Fraction of the plane that passes."""
         return float(np.mean(self.passes))

@@ -89,13 +89,13 @@ class NRZEncoder:
         The render is row 0 of a one-row :meth:`encode_batch` block:
         for the same RNG, jittered output is bit-identical too.
 
-        Renders are memoized in the active artifact cache
-        (:func:`repro.cache.active`) keyed ``(encoder config, bits,
-        pad_ui)``, but only when *jitter* is None: a jitter model
-        draws from the caller's RNG, whose state the key cannot
-        capture. Hits are the identical waveform, not a copy, and
-        must be treated as immutable; each carries a provenance
-        token for cheap downstream keys.
+        This is the stage's cached route: renders are memoized in the
+        active artifact cache (:func:`repro.cache.active`) keyed
+        ``(encoder config, bits, pad_ui)``, but only when *jitter* is
+        None: a jitter model draws from the caller's RNG, whose state
+        the key cannot capture. Hits are the identical waveform, not
+        a copy, and must be treated as immutable; each carries a
+        provenance token for cheap downstream keys.
 
         Parameters
         ----------
@@ -111,18 +111,11 @@ class NRZEncoder:
             pattern so boundary edges are fully rendered.
         """
         bits = np.asarray(bits).astype(np.int8)
-        if len(bits) == 0:
-            raise ConfigurationError("cannot encode an empty bit sequence")
-        if np.any((bits != 0) & (bits != 1)):
-            raise ConfigurationError("bits must be 0 or 1")
-        if rng is None:
-            rng = np.random.default_rng(0)
-
         from repro import cache as _cache
 
         def render():
-            return self._encode_batch_impl(bits[None], jitter, rng,
-                                           pad_ui).row(0)
+            return self.encode_batch(bits[None], jitter, rng,
+                                     pad_ui).row(0)
 
         store = _cache.active()
         if store.enabled and jitter is None:
@@ -151,12 +144,9 @@ class NRZEncoder:
         draws more than once per call, such as a ``CompositeJitter``
         of two ``RandomJitter``, consumes *rng* in another order.
 
-        Caching composes per row: each channel is keyed with the
-        *same* digest formula as the single-channel path, so batched
-        and per-channel renders share cache entries (and a jittered
-        block bypasses the cache, as in :meth:`encode`). Rows that
-        hit are reused; only the missing rows are rendered (as a
-        sub-batch) and stored individually.
+        A batch call always renders: it never consults the artifact
+        cache, even inside a ``use_cache`` scope. :meth:`encode` is
+        the cached route.
         """
         bits = np.asarray(bits)
         if bits.ndim != 2:
@@ -172,28 +162,34 @@ class NRZEncoder:
         if rng is None:
             rng = np.random.default_rng(0)
 
-        from repro import cache as _cache
+        tel = telemetry.active()
+        with tel.span("nrz.encode_batch"):
+            ui = self.unit_interval
+            pad = pad_ui * ui
+            t_start = -pad
+            t_stop = bits.shape[1] * ui + pad
+            n = int(round((t_stop - t_start) / self.dt)) + 1
 
-        store = _cache.active()
-        if not (store.enabled and jitter is None) or not len(bits):
-            return self._encode_batch_impl(bits, jitter, rng, pad_ui)
+            times, directions, history, rows = \
+                self._edge_times_batch(bits,
+                                       need_history=jitter is not None)
+            if jitter is not None and len(times):
+                times = times + jitter.offsets(times, directions,
+                                               history, rng)
 
-        keys = [
-            _cache.canonical_digest(
-                "nrz.encode", self.cache_key(), bits[i], float(pad_ui),
+            swing = self.v_high - self.v_low
+            base = self.v_low + swing * bits[:, 0].astype(np.float64) \
+                if len(bits) else np.empty(0, dtype=np.float64)
+            v = _kernels.render_nrz_batch(
+                len(bits), n, t_start, self.dt, base=base, swing=swing,
+                times=times, directions=directions, rows=rows,
+                t20_80=self.t20_80, shape=self.shape, tel=tel,
             )
-            for i in range(len(bits))
-        ]
-
-        def render(missing):
-            sub = self._encode_batch_impl(bits[missing], None, rng,
-                                          pad_ui)
-            return [Waveform(row.copy(), dt=sub.dt, t0=sub.t0)
-                    for row in sub.values]
-
-        rows = _cache.get_or_compute_rows(store, keys, render)
-        return WaveformBatch(np.stack([wf.values for wf in rows]),
-                             dt=rows[0].dt, t0=rows[0].t0, tokens=keys)
+            tel.counter("nrz.encodes").inc(len(bits))
+            tel.counter("nrz.bits").inc(bits.size)
+            tel.counter("nrz.edges").inc(len(times))
+            tel.counter("nrz.samples").inc(n * len(bits))
+            return WaveformBatch(v, dt=self.dt, t0=t_start)
 
     def _edge_times_batch(
             self, bits: np.ndarray, need_history: bool = True
@@ -224,39 +220,6 @@ class NRZEncoder:
                 vals[valid] = bits[rows[valid], idx[valid]]
                 history |= vals << k
         return times, directions, history, rows.astype(np.int64)
-
-    def _encode_batch_impl(self, bits: np.ndarray,
-                           jitter: Optional[JitterModel],
-                           rng: np.random.Generator,
-                           pad_ui: float) -> WaveformBatch:
-        tel = telemetry.active()
-        with tel.span("nrz.encode_batch"):
-            ui = self.unit_interval
-            pad = pad_ui * ui
-            t_start = -pad
-            t_stop = bits.shape[1] * ui + pad
-            n = int(round((t_stop - t_start) / self.dt)) + 1
-
-            times, directions, history, rows = \
-                self._edge_times_batch(bits,
-                                       need_history=jitter is not None)
-            if jitter is not None and len(times):
-                times = times + jitter.offsets(times, directions,
-                                               history, rng)
-
-            swing = self.v_high - self.v_low
-            base = self.v_low + swing * bits[:, 0].astype(np.float64) \
-                if len(bits) else np.empty(0, dtype=np.float64)
-            v = _kernels.render_nrz_batch(
-                len(bits), n, t_start, self.dt, base=base, swing=swing,
-                times=times, directions=directions, rows=rows,
-                t20_80=self.t20_80, shape=self.shape, tel=tel,
-            )
-            tel.counter("nrz.encodes").inc(len(bits))
-            tel.counter("nrz.bits").inc(bits.size)
-            tel.counter("nrz.edges").inc(len(times))
-            tel.counter("nrz.samples").inc(n * len(bits))
-            return WaveformBatch(v, dt=self.dt, t0=t_start)
 
 
 def bits_to_waveform(bits, rate_gbps: float, v_low: float = 0.0,

@@ -3,8 +3,11 @@
 The DLC generates its test patterns with LFSRs (the paper's eye
 diagrams use "a pseudo-random bit pattern produced by an LFSR in the
 DLC"). This module provides the standard PRBS polynomials and a fast
-software generator used by both the DLC model (``repro.dlc.lfsr``)
-and test equipment models (``repro.instruments.bert``).
+software generator. The test equipment models
+(``repro.instruments.bert``, ``repro.instruments.jtol``) use the
+generator; the DLC's register-accurate model
+(``repro.dlc.lfsr.LFSR``) takes only the tap table and steps its
+own register bit by bit.
 """
 
 from __future__ import annotations

@@ -259,8 +259,10 @@ class WaveformBatch:
     directly).
 
     Like :class:`Waveform`, a batch is externally immutable: rows
-    exposed as waveforms are zero-copy views, and per-row cache
-    tokens attached by producing stages stay sound.
+    exposed as waveforms are zero-copy views. A batch carries no
+    cache token: batch stage calls always compute, and the
+    single-row calls (``NRZEncoder.encode``, ``LTIChannel.apply``,
+    ``EyeDiagram.from_waveform``) are the cached route.
 
     Parameters
     ----------
@@ -270,15 +272,11 @@ class WaveformBatch:
         Shared sample spacing in picoseconds.
     t0:
         Shared time of each row's first sample in picoseconds.
-    tokens:
-        Optional per-row provenance tokens (``repro.cache`` keys of
-        the producing stage), one per channel.
     """
 
-    __slots__ = ("_values", "_dt", "_t0", "_tokens")
+    __slots__ = ("_values", "_dt", "_t0")
 
-    def __init__(self, values, dt: float = 1.0, t0: float = 0.0,
-                 tokens=None):
+    def __init__(self, values, dt: float = 1.0, t0: float = 0.0):
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
         self._values = np.ascontiguousarray(values, dtype=np.float64)
@@ -289,16 +287,6 @@ class WaveformBatch:
             )
         self._dt = float(dt)
         self._t0 = float(t0)
-        n = self._values.shape[0]
-        if tokens is None:
-            self._tokens = [None] * n
-        else:
-            self._tokens = [None if t is None else str(t)
-                            for t in tokens]
-            if len(self._tokens) != n:
-                raise ConfigurationError(
-                    f"{len(self._tokens)} tokens for {n} channels"
-                )
 
     # -- basic properties ----------------------------------------------
 
@@ -359,9 +347,7 @@ class WaveformBatch:
                        ) -> "WaveformBatch":
         """Stack per-channel waveforms into one batch.
 
-        All waveforms must share ``dt``, ``t0``, and length; their
-        cache tokens (when attached) become the batch's per-row
-        tokens.
+        All waveforms must share ``dt``, ``t0``, and length.
         """
         if not waveforms:
             raise ConfigurationError(
@@ -377,19 +363,11 @@ class WaveformBatch:
                     "batch rows must share dt, t0, and length"
                 )
         values = np.stack([w.values for w in waveforms])
-        tokens = [w._cache_token for w in waveforms]
-        return cls(values, dt=first.dt, t0=first.t0, tokens=tokens)
+        return cls(values, dt=first.dt, t0=first.t0)
 
     def row(self, i: int) -> Waveform:
-        """Channel *i* as a zero-copy :class:`Waveform` view.
-
-        The row carries its per-row cache token when one was
-        attached by the producing stage.
-        """
-        wf = Waveform(self._values[i], dt=self._dt, t0=self._t0)
-        if self._tokens[i] is not None:
-            wf.set_cache_token(self._tokens[i])
-        return wf
+        """Channel *i* as a zero-copy :class:`Waveform` view."""
+        return Waveform(self._values[i], dt=self._dt, t0=self._t0)
 
     def waveforms(self) -> list:
         """Every channel as a list of zero-copy waveform views."""
@@ -397,28 +375,6 @@ class WaveformBatch:
 
     def __iter__(self):
         return iter(self.waveforms())
-
-    # -- content addressing ------------------------------------------------
-
-    def cache_tokens(self) -> list:
-        """Per-row digests identifying each channel for cache keys.
-
-        Rows with a producing-stage provenance token return it
-        (cheap); rows without one fall back to a content digest of
-        that row — the same rule as :meth:`Waveform.cache_token`, so
-        batched and single-channel keys stay bit-compatible.
-        """
-        from repro.cache.keys import canonical_digest
-
-        out = []
-        for i, token in enumerate(self._tokens):
-            if token is None:
-                token = canonical_digest(
-                    "waveform", self._values[i], self._dt, self._t0,
-                )
-                self._tokens[i] = token
-            out.append(token)
-        return out
 
     # -- arithmetic --------------------------------------------------------
 

@@ -107,9 +107,11 @@ def _public_callables():
 def test_cache_has_one_route():
     """Stages take no ``cache=``: a ``use_cache`` scope (or the
     ``enable`` default) is the one way to hand them a cache, and
-    ``ShmooRunner(cache=)`` the one sweep shorthand."""
+    ``ShmooRunner(cache=)`` the one sweep shorthand. A signal stage
+    memoizes through its single-row call only."""
     from repro import cache as artifact_cache
     from repro.cache import RemoteCacheTier
+    from repro.signal.waveform import WaveformBatch
 
     takers = {qualname for qualname, fn in _public_callables()
               if "cache" in inspect.signature(fn).parameters}
@@ -118,3 +120,6 @@ def test_cache_has_one_route():
     assert CACHE_TAKERS <= takers
     assert not hasattr(artifact_cache, "resolve")
     assert "local" not in inspect.signature(RemoteCacheTier).parameters
+    # Batch stage calls always compute: no per-row cache route.
+    assert not hasattr(artifact_cache, "get_or_compute_rows")
+    assert not hasattr(WaveformBatch, "cache_tokens")

@@ -22,11 +22,11 @@ stage:
   draws from the RNG once per call. The test bed's block slot render
   is pinned bitwise to a per-channel loop on that basis.
 
-Cache composition is part of the contract: batched stages key each
-row with the *same* digest formula as the single-channel path, so
-warm entries flow between the two paths, and cached results stay
-bit-identical to uncached ones. The digest literals pinned at the
-bottom guard the on-disk key format itself.
+Batch calls never consult the artifact cache; the single-row calls
+are each stage's cached route. ``TestBatchCallsUnderCache`` checks
+both halves per stage on both kernel sets, and the digest literals
+pinned at the bottom guard the on-disk key format of the single-row
+entries.
 """
 
 import numpy as np
@@ -739,98 +739,170 @@ class TestJitteredBlockContract:
                        for k, wf in enumerate(rows))
 
 
-class TestBatchedCacheComposition:
-    """Batched stages share per-row entries with the scalar path and
-    stay bit-identical cached vs uncached."""
+def _assert_bitwise(a, b):
+    """Two waveforms, or two eye diagrams, agree bit for bit in every
+    output-determining field."""
+    if isinstance(a, Waveform):
+        fields = ("values", "dt", "t0")
+    else:
+        fields = ("phases", "voltages", "crossing_phases",
+                  "unit_interval", "threshold")
+    for name in fields:
+        x, y = (np.atleast_1d(getattr(out, name)) for out in (a, b))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class TestBatchCallsUnderCache:
+    """Inside a ``use_cache`` scope a stage's batch call computes, bit
+    for bit the uncached call, and leaves the cache untouched. Its
+    single-row call is the cached route: one entry per row, equal bit
+    for bit to that row of the batch call, with zero-copy hits."""
 
     BITS = np.array([
         [0, 1, 1, 0, 1, 0, 0, 1] * 8,
         [1, 0, 1, 1, 0, 0, 1, 0] * 8,
         [0, 0, 1, 0, 1, 1, 0, 1] * 8,
     ], dtype=np.int8)
+    ENC = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+    CH = LTIChannel(3.0, attenuation_db=1.0, delay_ps=50.0)
+    STAGES = ("nrz", "lti", "eye")
 
-    def test_cached_batch_bit_identical_to_uncached(self):
-        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
-        cold = enc.encode_batch(self.BITS)
+    def _stage(self, name):
+        """``(batch call, single-row call, batch input, row inputs)``
+        of stage *name*, with the inputs computed outside any scope."""
+        if name == "nrz":
+            return (self.ENC.encode_batch, self.ENC.encode, self.BITS,
+                    list(self.BITS))
+        rendered = self.ENC.encode_batch(self.BITS)
+        if name == "lti":
+            return (self.CH.apply_batch, self.CH.apply, rendered,
+                    rendered.waveforms())
+        filtered = self.CH.apply_batch(rendered)
+        return (lambda batch: EyeDiagram.from_batch(batch, 2.5),
+                lambda wf: EyeDiagram.from_waveform(wf, 2.5),
+                filtered, filtered.waveforms())
+
+    @staticmethod
+    def _rows(out):
+        """A batch call's per-row outputs."""
+        return out.waveforms() if isinstance(out, WaveformBatch) else out
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_batch_call_computes_and_leaves_cache_untouched(self, stage):
+        batch_call, _, block, _ = self._stage(stage)
+        plain = self._rows(batch_call(block))
         cache = ArtifactCache()
         with artifact_cache.use_cache(cache):
-            first = enc.encode_batch(self.BITS)
-            warm = enc.encode_batch(self.BITS)
-        for out in (first, warm):
-            assert np.array_equal(out.values, cold.values)
+            outs = [self._rows(batch_call(block)) for _ in range(2)]
+        assert not any(cache.stats().values())
+        for rows in outs:
+            assert len(rows) == len(plain)
+            for got, ref in zip(rows, plain):
+                _assert_bitwise(got, ref)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_single_row_calls_equal_batch_rows(self, stage):
+        batch_call, row_call, block, inputs = self._stage(stage)
+        plain = self._rows(batch_call(block))
+        cache = ArtifactCache()
+        with artifact_cache.use_cache(cache):
+            cold = [row_call(x) for x in inputs]
+            warm = [row_call(x) for x in inputs]
+        n = len(inputs)
         stats = cache.stats()
-        assert stats["stores"] == len(self.BITS)
-        assert stats["hits"] >= len(self.BITS)
+        assert (stats["misses"], stats["stores"], stats["hits"]) \
+            == (n, n, n)
+        for first, again, ref in zip(cold, warm, plain):
+            assert again is first  # a hit is the stored artifact
+            _assert_bitwise(first, ref)
 
-    def test_batch_reuses_scalar_entries(self):
-        """Rows rendered singly are hits for the batched render."""
-        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_batch_call_ignores_single_row_entries(self, stage):
+        """Entries stored by the single-row calls on the same rows are
+        not read by the batch call: it computes its own outputs."""
+        batch_call, row_call, block, inputs = self._stage(stage)
         cache = ArtifactCache()
         with artifact_cache.use_cache(cache):
-            refs = [enc.encode(row) for row in self.BITS]
-            assert cache.stats()["stores"] == len(self.BITS)
-            batch = enc.encode_batch(self.BITS)
-        assert cache.stats()["stores"] == len(self.BITS)  # no re-render
-        assert cache.stats()["hits"] >= len(self.BITS)
-        for i, ref in enumerate(refs):
-            assert np.array_equal(batch.values[i], ref.values)
+            refs = [row_call(x) for x in inputs]
+            before = cache.stats()
+            rows = self._rows(batch_call(block))
+        assert cache.stats() == before
+        for got, ref in zip(rows, refs):
+            assert got is not ref
+            if isinstance(got, Waveform):
+                assert not np.shares_memory(got.values, ref.values)
+            _assert_bitwise(got, ref)
 
-    def test_scalar_reuses_batch_entries(self):
-        """And the other direction: batched renders warm the scalar
-        path."""
-        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+    @pytest.mark.parametrize("stage", ["lti", "eye"])
+    def test_batch_rows_key_downstream_by_content(self, stage):
+        """A batch row carries no provenance token, so a single-row
+        call keys it by a digest of its samples; a single-row
+        upstream output keys by its producing config. The same
+        samples reached both ways make two entries, bit for bit
+        equal."""
+        _, row_call, _, inputs = self._stage(stage)
+        row = inputs[1]
+        assert row.cache_token() == Waveform(
+            row.values.copy(), dt=row.dt, t0=row.t0).cache_token()
         cache = ArtifactCache()
         with artifact_cache.use_cache(cache):
-            batch = enc.encode_batch(self.BITS)
-            stores = cache.stats()["stores"]
-            wf = enc.encode(self.BITS[1])
-        assert cache.stats()["stores"] == stores
-        assert np.array_equal(wf.values, batch.values[1])
+            upstream = self.ENC.encode(self.BITS[1])
+            if stage == "eye":
+                upstream = self.CH.apply(upstream)
+            n_upstream = cache.stats()["stores"]
+            via_batch = row_call(row)
+            via_single = row_call(upstream)
+        assert upstream.cache_token() != row.cache_token()
+        stats = cache.stats()
+        assert stats["stores"] == n_upstream + 2 and stats["hits"] == 0
+        _assert_bitwise(via_batch, via_single)
 
-    def test_partial_hits_render_only_missing_rows(self):
-        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
-        cold = enc.encode_batch(self.BITS)
+    @pytest.mark.parametrize("budget", [
+        JitterBudget(rj_rms=3.2, dj_pp=23.0),
+        JitterBudget(dj_pp=23.0),
+    ], ids=["rj-dj", "dj-only"])
+    def test_jittered_render_bypasses_cache(self, budget):
+        """A jittered single-row render neither reads nor stores an
+        entry, also for a model that draws nothing from the RNG: the
+        key does not cover the jitter model. It stays row 0 of the
+        one-row batch render for the same RNG."""
+        jitter = budget.build()
+        bits = self.BITS[0]
         cache = ArtifactCache()
         with artifact_cache.use_cache(cache):
-            enc.encode(self.BITS[0])  # warm one row only
-            batch = enc.encode_batch(self.BITS)
-        assert cache.stats()["stores"] == len(self.BITS)
-        assert np.array_equal(batch.values, cold.values)
+            clean = self.ENC.encode(bits)
+            before = cache.stats()
+            got = [self.ENC.encode(bits, jitter=jitter,
+                                   rng=np.random.default_rng(5))
+                   for _ in range(2)]
+        assert cache.stats() == before
+        block = self.ENC.encode_batch(bits[None], jitter=jitter,
+                                      rng=np.random.default_rng(5))
+        for wf in got:
+            assert not np.array_equal(wf.values, clean.values)
+            _assert_bitwise(wf, block.row(0))
 
-    def test_lti_batch_cache_composes_per_row(self):
-        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
-        ch = LTIChannel(3.0, attenuation_db=1.0, delay_ps=50.0)
-        cold = ch.apply_batch(enc.encode_batch(self.BITS))
+    def test_ideal_channel_shifts_without_cache(self):
+        """``IdealChannel`` overrides both calls with a delay shift:
+        neither filters nor touches the cache."""
+        ch = IdealChannel(delay_ps=50.0)
+        rendered = self.ENC.encode_batch(self.BITS)
         cache = ArtifactCache()
         with artifact_cache.use_cache(cache):
-            batch = enc.encode_batch(self.BITS)
-            out1 = ch.apply_batch(batch)
-            scalar = ch.apply(batch.row(1))
-            out2 = ch.apply_batch(batch)
-        assert np.array_equal(out1.values, cold.values)
-        assert np.array_equal(out2.values, cold.values)
-        assert np.array_equal(scalar.values, cold.values[1])
-
-    def test_eye_batch_cache_composes_per_row(self):
-        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
-        cold = EyeDiagram.from_batch(enc.encode_batch(self.BITS), 2.5)
-        cache = ArtifactCache()
-        with artifact_cache.use_cache(cache):
-            batch = enc.encode_batch(self.BITS)
-            eyes1 = EyeDiagram.from_batch(batch, 2.5)
-            ref = EyeDiagram.from_waveform(batch.row(2), 2.5)
-            eyes2 = EyeDiagram.from_batch(batch, 2.5)
-        assert eyes2[2] is ref  # literally the same cached fold
-        for eyes in (eyes1, eyes2):
-            for eye, ref_eye in zip(eyes, cold):
-                assert np.array_equal(eye.voltages, ref_eye.voltages)
-                assert np.array_equal(eye.crossing_phases,
-                                      ref_eye.crossing_phases)
+            batch = ch.apply_batch(rendered)
+            rows = [ch.apply(wf) for wf in rendered.waveforms()]
+        assert not any(cache.stats().values())
+        assert batch.t0 == rendered.t0 + 50.0
+        assert np.array_equal(batch.values, rendered.values)
+        for got, ref in zip(rows, batch.waveforms()):
+            _assert_bitwise(got, ref)
 
 
 class TestCacheKeyRegression:
-    """Pin the digest format: batched-path sharing relies on the
-    single-channel key formulas never drifting."""
+    """Pin the digest format: a disk cache, and the ``process``
+    executor clones that share its directory, read entries that
+    other runs wrote, so the single-row key formulas must never
+    drift."""
 
     def test_nrz_encoder_config_digest_pinned(self):
         enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
@@ -849,16 +921,29 @@ class TestCacheKeyRegression:
             "nrz.encode", enc.cache_key(), bits, 1.0)
         assert key == "41fbadb5b01f6be67aeb679f91f1436478ee2b76"
 
-    def test_batch_row_keys_equal_scalar_keys(self):
-        """The key a batched render stores under is byte-for-byte the
-        scalar path's key (checked via cross-path hits)."""
-        enc = NRZEncoder(5.0, t20_80=40.0)
-        bits = np.random.default_rng(0).integers(
-            0, 2, size=(4, 32), dtype=np.int8)
+    def test_stage_row_keys_pinned(self):
+        """The keys the single-row calls store under: the render's is
+        the digest above, the filter's composes the render's token,
+        and the fold's composes the filter's."""
+        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+        ch = LTIChannel(3.0, attenuation_db=1.0, delay_ps=50.0)
+        bits = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8)
         cache = ArtifactCache()
         with artifact_cache.use_cache(cache):
-            enc.encode_batch(bits)
-            misses = cache.stats()["misses"]
-            for row in bits:
-                enc.encode(row)
-        assert cache.stats()["misses"] == misses
+            rendered = enc.encode(bits)
+            filtered = ch.apply(rendered)
+            EyeDiagram.from_waveform(filtered, 2.5)
+        assert rendered.cache_token() \
+            == "41fbadb5b01f6be67aeb679f91f1436478ee2b76"
+        assert filtered.cache_token() \
+            == "ba0f35acf0c8374dc87c759d3ee35e3d15901910"
+        assert "9e6f237950478f2a611f62a027f39c785aa57807" in cache
+        assert len(cache) == 3
+
+    def test_content_token_digest_pinned(self):
+        """A waveform without a provenance token, a batch row among
+        them, keys by a digest of ``(values, dt, t0)``."""
+        wf = WaveformBatch(np.array([[0.0, 0.25, 0.5, 0.25]]),
+                           dt=2.0, t0=-5.0).row(0)
+        assert wf.cache_token() \
+            == "5e2a34408873a09df2125821665fed9b0f6485d1"

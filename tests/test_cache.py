@@ -27,7 +27,8 @@ from repro.host.shmoo import ShmooRunner
 from repro.parallel import Executor
 from repro.signal.nrz import NRZEncoder
 from repro.signal.prbs import prbs_bits
-from repro.signal.waveform import Waveform, WaveformBatch
+from repro.signal.waveform import Waveform
+from tests.test_batch_equivalence import _assert_bitwise
 
 
 class TestCanonicalDigest:
@@ -164,26 +165,33 @@ class TestArtifactCache:
 
 
     def test_eye_bytes_count_owned_arrays(self):
-        """A cached ``from_batch`` row owns its voltages copy, so the
-        byte budget sees it; a fold that views a waveform's samples
-        costs only its header."""
-        values = np.random.default_rng(0).normal(0.0, 0.3, (4, 100_800))
+        """A stored diagram that owns its arrays is charged for each
+        of them, so the byte budget sees it; a fold that views a
+        waveform's samples costs only its header."""
+        rng = np.random.default_rng(0)
+
+        def owned_eye():
+            return EyeDiagram(rng.uniform(0.0, 400.0, 100_000),
+                              rng.normal(0.0, 0.3, 100_000), 400.0,
+                              rng.uniform(0.0, 400.0, 500), 0.0)
+
+        eyes = [owned_eye() for _ in range(4)]
+        assert all(a.base is None for eye in eyes
+                   for a in (eye.phases, eye.voltages,
+                             eye.crossing_phases))
+        per_eye = 2 * 800_000 + 4_000 + 64
         cache = ArtifactCache()
-        with artifact_cache.use_cache(cache):
-            eyes = EyeDiagram.from_batch(WaveformBatch(values), 2.5)
-        assert all(eye.voltages.base is None for eye in eyes)
-        # Crossing phases are views of the fold's shared array.
-        assert cache.nbytes == sum(eye.voltages.nbytes + 64
-                                   for eye in eyes)
-        assert cache.nbytes > 3_200_000
-        capped = ArtifactCache(max_bytes=2 * eyes[0].voltages.nbytes
-                               + 200)
-        with artifact_cache.use_cache(capped):
-            EyeDiagram.from_batch(WaveformBatch(values), 2.5)
+        for i, eye in enumerate(eyes):
+            cache.put(f"eye{i}", eye)
+        assert cache.nbytes == 4 * per_eye
+        capped = ArtifactCache(max_bytes=2 * per_eye + 200)
+        for i, eye in enumerate(eyes):
+            capped.put(f"eye{i}", eye)
         assert len(capped) == 2 and capped.evictions == 2
+        values = rng.normal(0.0, 0.3, 100_800)
         viewing = ArtifactCache()
         with artifact_cache.use_cache(viewing):
-            EyeDiagram.from_waveform(Waveform(values[0]), 2.5)
+            EyeDiagram.from_waveform(Waveform(values), 2.5)
         assert viewing.nbytes == 64
 
 
@@ -518,6 +526,127 @@ class TestStageBitIdentity:
         assert np.array_equal(plain.voltages, warm.voltages)
         assert np.array_equal(plain.crossing_phases,
                               warm.crossing_phases)
+
+
+class TestOneRoutePerStage:
+    """Batch calls always compute; the single-row call is each
+    signal stage's one cached route."""
+
+    BITS = np.array([
+        [0, 1, 1, 0, 1, 0, 0, 1] * 8,
+        [1, 0, 1, 1, 0, 0, 1, 0] * 8,
+        [0, 0, 1, 0, 1, 1, 0, 1] * 8,
+    ], dtype=np.int8)
+
+    def test_batch_calls_compute_single_row_calls_memoize(self):
+        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+        ch = LTIChannel(3.0, attenuation_db=1.0, delay_ps=50.0)
+
+        def batch_chain():
+            rendered = enc.encode_batch(self.BITS)
+            filtered = ch.apply_batch(rendered)
+            return rendered, filtered, EyeDiagram.from_batch(filtered,
+                                                             2.5)
+
+        def row_chain(bits):
+            rendered = enc.encode(bits)
+            filtered = ch.apply(rendered)
+            return rendered, filtered, EyeDiagram.from_waveform(
+                filtered, 2.5)
+
+        def assert_same_eye(a, b):
+            for field in ("voltages", "crossing_phases", "phases"):
+                assert np.array_equal(getattr(a, field).view(np.uint64),
+                                      getattr(b, field).view(np.uint64))
+            assert a.threshold == b.threshold
+
+        plain = batch_chain()
+        cache = ArtifactCache()
+        with artifact_cache.use_cache(cache):
+            cached = batch_chain()
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) \
+            == (0, 0, 0)
+        for a, b in zip(plain[:2], cached[:2]):
+            assert np.array_equal(a.values.view(np.uint64),
+                                  b.values.view(np.uint64))
+            assert (a.dt, a.t0) == (b.dt, b.t0)
+        for a, b in zip(plain[2], cached[2]):
+            assert_same_eye(a, b)
+
+        n_keys = 3 * len(self.BITS)
+        with artifact_cache.use_cache(cache):
+            cold = [row_chain(bits) for bits in self.BITS]
+            stats = cache.stats()
+            assert (stats["hits"], stats["misses"], stats["stores"]) \
+                == (0, n_keys, n_keys)
+            warm = [row_chain(bits) for bits in self.BITS]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["stores"]) \
+            == (n_keys, n_keys, n_keys)
+        for k, (first, again) in enumerate(zip(cold, warm)):
+            # Hits are the stored artifacts themselves.
+            assert all(x is y for x, y in zip(first, again))
+            for stage in (0, 1):
+                assert np.array_equal(
+                    first[stage].values.view(np.uint64),
+                    plain[stage].values[k].view(np.uint64))
+            assert_same_eye(first[2], plain[2][k])
+
+    def _row_route(self, stage):
+        """``(single-row call, row inputs)`` of *stage*, with the
+        inputs computed outside any scope."""
+        enc = NRZEncoder(2.5, v_low=-0.4, v_high=0.4, t20_80=72.0)
+        ch = LTIChannel(3.0, attenuation_db=1.0, delay_ps=50.0)
+        if stage == "nrz":
+            return enc.encode, list(self.BITS)
+        rendered = enc.encode_batch(self.BITS)
+        if stage == "lti":
+            return ch.apply, rendered.waveforms()
+        return (lambda wf: EyeDiagram.from_waveform(wf, 2.5),
+                ch.apply_batch(rendered).waveforms())
+
+    @pytest.mark.parametrize("stage", ("nrz", "lti", "eye"))
+    def test_concurrent_row_calls_compute_each_row_once(self, stage):
+        """Two threads running the same rows through a stage's
+        single-row call share its computes: each row is computed and
+        stored once, and both threads get the stored artifacts."""
+        row_call, inputs = self._row_route(stage)
+        cache = ArtifactCache()
+        gate = threading.Barrier(2)
+        results = [None, None]
+
+        def run(i):
+            gate.wait(10.0)
+            results[i] = [row_call(x) for x in inputs]
+
+        with artifact_cache.use_cache(cache):
+            _join_all([lambda i=i: run(i) for i in range(2)])
+        n = len(inputs)
+        stats = cache.stats()
+        assert (stats["misses"], stats["stores"], stats["hits"]) \
+            == (n, n, n)
+        assert all(a is b for a, b in zip(*results))
+
+    @pytest.mark.parametrize("stage", ("nrz", "lti", "eye"))
+    def test_row_entries_read_back_from_disk(self, stage, tmp_path):
+        """A second cache on the same directory, as a ``process``
+        chunk's clone or a later run has, reads a stage's single-row
+        entries back bit for bit, waveform tokens included, without
+        computing them."""
+        row_call, inputs = self._row_route(stage)
+        with artifact_cache.use_cache(ArtifactCache(disk_path=tmp_path)):
+            first = [row_call(x) for x in inputs]
+        reader = ArtifactCache(disk_path=tmp_path)
+        with artifact_cache.use_cache(reader):
+            again = [row_call(x) for x in inputs]
+        stats = reader.stats()
+        assert (stats["misses"], stats["hits"]) == (0, len(inputs))
+        for a, b in zip(first, again):
+            assert b is not a
+            _assert_bitwise(a, b)
+            if isinstance(a, Waveform):
+                assert a.cache_token() == b.cache_token()
 
 
 def _margin_cell(x, y):

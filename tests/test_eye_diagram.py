@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cache as artifact_cache
 from repro.errors import MeasurementError
 from repro.eye._binning import fold_period, fold_phases
 from repro.eye.diagram import EyeDiagram
@@ -154,19 +153,12 @@ def _folds(n_samples, seed):
         batch = WaveformBatch(values, dt=dt)
         # The window starts at the first sample past one discarded UI.
         grid = (np.ceil(ui / dt) * dt, dt)
-        with artifact_cache.use_cache():
-            cold = EyeDiagram.from_batch(batch, rate)
-            warm = EyeDiagram.from_batch(batch, rate)
         plain = EyeDiagram.from_batch(batch, rate)
         tag = f"{rate:g} Gbps/{dt:g} ps"
         folds.append((f"{tag} from_waveform", EyeDiagram.from_waveform(
             Waveform(values[1], dt=dt), rate), grid))
-        for c in range(3):
-            folds += [
-                (f"{tag} from_batch[{c}]", plain[c], grid),
-                (f"{tag} cached from_batch[{c}] (miss)", cold[c], grid),
-                (f"{tag} cached from_batch[{c}] (hit)", warm[c], grid),
-            ]
+        folds += [(f"{tag} from_batch[{c}]", plain[c], grid)
+                  for c in range(3)]
         folds.append((f"{tag} merged",
                       EyeDiagram.from_batch(batch, rate, merge=True), None))
     return folds

@@ -29,10 +29,13 @@ reproduces the pre-vectorization implementation:
   with the in-window block size forced down to 64 samples.
   ``tests/test_batch_equivalence.py`` builds its per-stage
   references on these ops.
-- The :func:`array_ops` fixture runs the other suites here and in
-  ``tests/test_batch_equivalence.py`` twice: once on the production
-  kernels (``fused``) and once with the reference ops swapped in
-  (``numpy``).
+- The :func:`array_ops` fixture runs the suites that call those ops
+  twice, once on the production kernels (``fused``) and once with
+  the reference ops swapped in (``numpy``): the NRZ render, template
+  cache and PRBS suites here, and every test of
+  ``tests/test_batch_equivalence.py``. The fabric, bathtub,
+  telemetry and edge-dtype suites call none of the swapped ops and
+  run once.
 - Vortex fabric stepping: ``_ReferenceFabric`` (the dict-of-nodes
   scan) versus the fabric's one routing pass, on quiet and busy
   fabrics and under the four standard traffic patterns — identical
@@ -1019,7 +1022,6 @@ def _drive(fab, seed, n_cycles, n_heights, submit_prob, attempts=1,
     return journal, deliveries, vars(fab.stats)
 
 
-@pytest.mark.usefixtures("array_ops")
 class TestFabricEquivalence:
     @pytest.mark.parametrize(
         "n_angles,n_heights,attempts,load,min_peak", [
@@ -1094,7 +1096,6 @@ class TestFabricEquivalence:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("array_ops")
 class TestBathtubEquivalence:
     @pytest.mark.parametrize("budget", [
         JitterBudget(rj_rms=3.0, dj_pp=20.0),
@@ -1137,7 +1138,6 @@ class TestBathtubEquivalence:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("array_ops")
 class TestKernelTelemetry:
     def test_steps_counter(self):
         from repro import telemetry
@@ -1199,7 +1199,6 @@ class TestKernelTelemetry:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("array_ops")
 class TestEdgeTimesDtypes:
     def test_empty_returns_pinned_dtypes(self):
         enc = NRZEncoder(2.5)

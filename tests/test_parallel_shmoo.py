@@ -54,7 +54,7 @@ class TestBackendEquivalence:
         sharded = ShmooRunner(circle_test).run(xs, ys, executor=ex)
         assert np.array_equal(serial.passes, sharded.passes)
         assert not sharded.aborted
-        assert sharded.evaluated_mask.all()
+        assert sharded.evaluated.all()
 
     def test_counter_totals_identical_across_backends(self):
         xs = list(np.linspace(0, 4, 6))
@@ -180,7 +180,7 @@ class TestAbort:
             executor=Executor(backend="thread", max_workers=2),
             should_abort=lambda: True)
         assert result.aborted
-        assert not result.evaluated_mask.all()
+        assert not result.evaluated.all()
 
     def test_completed_run_evaluated_is_full_mask(self):
         result = ShmooRunner(parity_test).run([0, 1], [0, 1])
@@ -189,7 +189,6 @@ class TestAbort:
         assert result.evaluated.all()
         assert result.complete
         assert not result.aborted
-        assert result.evaluated_mask.all()
 
     def test_abort_counts_cells_not_grid_size(self):
         calls = {"n": 0}

@@ -249,14 +249,13 @@ for the key meanwhile wait and read the stored entry (a hit), so one
 cache computes each artifact once. A compute that raises wakes its
 waiters, and each then claims the key and computes it itself; a
 compute asking for its own key on the same thread runs inline.
-`NullCache`, `RemoteCacheTier`, `get_or_compute_rows`, and processes
-sharing a `disk_path` do not single-flight. `ShmooRunner` walks its
-cells x-major, so an executor chunk whose size is a multiple of the
-y axis's length holds whole x columns (put the rate on x), and its
-concurrent chunks do not ask for one key: two thread chunks of a
-cold sweep compute different rates side by side instead of waiting
-on each other, and a `process` chunk computes its columns'
-artifacts once.
+`NullCache`, `RemoteCacheTier`, and processes sharing a `disk_path`
+do not single-flight. `ShmooRunner` walks its cells x-major, so an
+executor chunk whose size is a multiple of the y axis's length holds
+whole x columns (put the rate on x), and its concurrent chunks do
+not ask for one key: two thread chunks of a cold sweep compute
+different rates side by side instead of waiting on each other, and a
+`process` chunk computes its columns' artifacts once.
 
 Traffic is observable as `cache.{hits,misses,evictions,stores,waits}`
 counters and the `cache.bytes` gauge: `misses` counts computes, and
@@ -346,12 +345,15 @@ references that do not call the batched code):
   within `repro.channel.crosstalk.XTALK_EQUIVALENCE_RTOL` (1e-9,
   atol 1e-12).
 
-Caching composes per row with byte-identical keys: a batched stage
-keys each row with the *same* digest formula as its scalar
-counterpart, so warm entries flow between the two paths in both
-directions, only missing rows are computed (as a sub-batch, through
-`repro.cache.get_or_compute_rows`), and
-`tests/test_batch_equivalence.py` pins the digest literals.
+Each signal stage has one cached route, its single-row call:
+`NRZEncoder.encode`, `LTIChannel.apply` and
+`EyeDiagram.from_waveform` each wrap a one-row call of the batch
+form in a single-flight `ArtifactCache.get_or_compute`. The batch
+forms (`encode_batch`, `apply_batch`, `from_batch`) always compute,
+also inside a `use_cache` scope, and leave the cache untouched
+(`tests/test_cache.py::TestOneRoutePerStage`).
+`tests/test_batch_equivalence.py` pins the single-row digest
+literals, which disk caches read across runs.
 `benchmarks/test_bench_scaling_terabit.py
 ::test_batched_array_throughput` holds the batched 64-channel,
 10 Gbps pipeline at >= 3x a loop of scalar calls: the loop runs the
